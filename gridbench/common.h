@@ -77,7 +77,7 @@ std::string ReadFile(const std::string& path);
 /// backend and pool thread count, as one JSON object.
 std::string HostBlockJson();
 
-/// Grid workloads (grid.cc): table4_paper, rocket_10k, inception_grid.
+/// Grid workloads (grid.cc): table4_paper, inception_grid.
 bool IsGridWorkload(const std::string& name);
 RunResult RunGridWorkload(const RunOptions& options);
 

@@ -19,7 +19,7 @@ namespace {
 int Usage(const char* problem) {
   std::fprintf(stderr,
                "gridbench_main: %s\nusage: gridbench_main --workload "
-               "{table4_paper|rocket_10k|inception_grid|serve_open} --seed N "
+               "{table4_paper|inception_grid|serve_open} --seed N "
                "--seconds S --trace 0|1 --out-dir DIR [--expect-digest HEX]\n",
                problem);
   return 2;

@@ -17,7 +17,7 @@ import subprocess
 
 import run as bench
 
-GRID_WORKLOADS = ("table4_paper", "rocket_10k", "inception_grid")
+GRID_WORKLOADS = ("table4_paper", "inception_grid")
 
 
 def main():
@@ -38,7 +38,7 @@ def main():
     digests = {}
     for workload in GRID_WORKLOADS:
         for seed in seeds:
-            # --seconds 1: a single study is enough to read its digest.
+            # --seconds 1: the warm-up study and one more give the digest.
             result = subprocess.run(
                 [binary, "--workload", workload, "--seed", str(seed),
                  "--seconds", "1", "--trace", "0", "--out-dir", out_dir],

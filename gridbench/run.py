@@ -9,7 +9,7 @@ of standard output is the JSON result:
 
 Usage (from the repository root):
 
-    python3 gridbench/run.py --workload table4_paper --seed 1 --seconds 15 --trace 0
+    python3 gridbench/run.py --workload table4_paper --seed 1 --seconds 30 --trace 0
 
 The build goes to $CARGO_TARGET_DIR when it is set, else .bench_build, both
 relative to the repository root. See gridbench/README.md.
@@ -23,7 +23,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("table4_paper", "rocket_10k", "inception_grid", "serve_open")
+WORKLOADS = ("table4_paper", "inception_grid", "serve_open")
 BUILD_TIMEOUT_S = 700
 RUN_TIMEOUT_S = 170
 
