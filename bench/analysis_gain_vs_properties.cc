@@ -15,8 +15,14 @@
 
 int main() {
   const tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
-  const tsaug::eval::StudyResult study =
-      tsaug::eval::RunStudy(settings, tsaug::eval::ModelKind::kRocket);
+  const tsaug::core::StatusOr<tsaug::eval::StudyResult> result =
+      tsaug::eval::TryRunStudy(settings, tsaug::eval::ModelKind::kRocket);
+  if (!result.ok()) {
+    std::fprintf(stderr, "analysis_gain_vs_properties: %s\n",
+                 result.status().ToString().c_str());
+    return 1;
+  }
+  const tsaug::eval::StudyResult& study = *result;
 
   // Properties of the same generated datasets.
   std::vector<double> gains;

@@ -7,22 +7,27 @@
 // suite fits one core; set TSAUG_SCALE=paper TSAUG_RUNS=5 (and hours of
 // CPU) for the paper's protocol. See EXPERIMENTS.md.
 //
-// Durable runs: --journal=PATH records completed cells so a killed or
-// interrupted sweep resumes where it stopped; --cell-budget-seconds=S
-// fails any single cell that overruns S seconds without aborting the
-// sweep. SIGINT/SIGTERM stop cooperatively: the journal is flushed and a
+// Durable runs: TSAUG_JOURNAL=PATH records completed cells so a killed or
+// interrupted sweep resumes where it stopped; TSAUG_CELL_BUDGET=S fails
+// any single cell that overruns S seconds without aborting the sweep. SIGINT/SIGTERM stop cooperatively: the journal is flushed and a
 // partial report marked INTERRUPTED is printed.
+#include <cstdio>
 #include <iostream>
 
 #include "core/cancel.h"
 #include "eval/report.h"
 
-int main(int argc, char** argv) {
+int main() {
   tsaug::core::InstallStopSignalHandlers();
-  tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
-  tsaug::eval::ApplyGridFlags(argc, argv, settings);
-  const tsaug::eval::StudyResult result =
-      tsaug::eval::RunStudy(settings, tsaug::eval::ModelKind::kRocket);
+  const tsaug::core::StatusOr<tsaug::eval::StudyResult> study =
+      tsaug::eval::TryRunStudy(tsaug::eval::ReadBenchSettings(),
+                               tsaug::eval::ModelKind::kRocket);
+  if (!study.ok()) {
+    std::fprintf(stderr, "table4_rocket: %s\n",
+                 study.status().ToString().c_str());
+    return 1;
+  }
+  const tsaug::eval::StudyResult& result = *study;
   std::cout << "\nTABLE IV: Accuracy for ROCKET baseline model, and relative "
                "improvement\n";
   if (result.rows.empty()) {

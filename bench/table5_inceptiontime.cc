@@ -4,20 +4,26 @@
 // training portion, early stopping on validation accuracy).
 //
 // Scaled by TSAUG_* environment knobs; see EXPERIMENTS.md. Durable runs:
-// --journal=PATH resumes a killed sweep, --cell-budget-seconds=S bounds
+// TSAUG_JOURNAL=PATH resumes a killed sweep, TSAUG_CELL_BUDGET=S bounds
 // each cell's wall time, SIGINT/SIGTERM stop cooperatively with a flushed
 // journal and a partial report marked INTERRUPTED.
+#include <cstdio>
 #include <iostream>
 
 #include "core/cancel.h"
 #include "eval/report.h"
 
-int main(int argc, char** argv) {
+int main() {
   tsaug::core::InstallStopSignalHandlers();
-  tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
-  tsaug::eval::ApplyGridFlags(argc, argv, settings);
-  const tsaug::eval::StudyResult result =
-      tsaug::eval::RunStudy(settings, tsaug::eval::ModelKind::kInceptionTime);
+  const tsaug::core::StatusOr<tsaug::eval::StudyResult> study =
+      tsaug::eval::TryRunStudy(tsaug::eval::ReadBenchSettings(),
+                               tsaug::eval::ModelKind::kInceptionTime);
+  if (!study.ok()) {
+    std::fprintf(stderr, "table5_inceptiontime: %s\n",
+                 study.status().ToString().c_str());
+    return 1;
+  }
+  const tsaug::eval::StudyResult& result = *study;
   std::cout << "\nTABLE V: Accuracy for InceptionTime baseline model, and "
                "relative improvement\n";
   if (result.rows.empty()) {

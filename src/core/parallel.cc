@@ -50,8 +50,12 @@ struct Batch {
       // partial work. Nested ParallelFor calls run inline as one chunk
       // and are never abandoned, so a grid cell either completes fully
       // and deterministically or fails with kCancelled — never a torn
-      // in-between.
-      if (GlobalStopRequested()) break;
+      // in-between. Marking the batch stopped lets the submitter see it
+      // drained; its unclaimed chunks will never run.
+      if (GlobalStopRequested()) {
+        stop.store(true, std::memory_order_relaxed);
+        break;
+      }
       const std::int64_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= num_chunks) break;
       trace::AddCount(from_worker ? "parallel.chunks.worker"

@@ -228,7 +228,6 @@ DatasetRow RunGridAgainstJournal(
     const std::string& name, const data::TrainTest& data,
     const std::vector<std::shared_ptr<augment::Augmenter>>& techniques,
     const ExperimentConfig& config, Journal* journal) {
-  TSAUG_CHECK(config.runs >= 1);
   TSAUG_TRACE_SCOPE("eval.dataset_grid");
   DatasetRow row;
   row.dataset = name;
@@ -582,6 +581,11 @@ core::StatusOr<DatasetRow> TryRunDatasetGrid(
     const std::string& name, const data::TrainTest& data,
     const std::vector<std::shared_ptr<augment::Augmenter>>& techniques,
     const ExperimentConfig& config, Journal* journal) {
+  if (config.runs < 1) {
+    std::string message = "grid: runs must be >= 1, got ";
+    message += std::to_string(config.runs);
+    return core::InvalidArgumentError(message);
+  }
   Journal local;
   if (journal == nullptr && !config.journal_path.empty()) {
     TSAUG_RETURN_IF_ERROR(local.Open(config.journal_path,

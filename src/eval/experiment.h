@@ -187,7 +187,8 @@ std::string ConfigFingerprint(
 /// core::InstallStopSignalHandlers, or an injected "grid.run"/"cell.start"
 /// stop) discards the partially-evaluated run, marks the row interrupted
 /// and returns what completed — with every finished cell already flushed
-/// to the journal.
+/// to the journal. Errors: InvalidArgument when config.runs < 1, or the
+/// journal open Status.
 [[nodiscard]] core::StatusOr<DatasetRow> TryRunDatasetGrid(
     const std::string& name, const data::TrainTest& data,
     const std::vector<std::shared_ptr<augment::Augmenter>>& techniques,

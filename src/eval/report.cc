@@ -9,7 +9,7 @@
 #include <string>
 
 #include "augment/pipeline.h"
-#include "core/cancel.h"
+#include "data/scenarios.h"
 #include "data/uea_catalog.h"
 
 namespace tsaug::eval {
@@ -234,28 +234,6 @@ BenchSettings ReadBenchSettings() {
   return settings;
 }
 
-void ApplyGridFlags(int argc, char** argv, BenchSettings& settings) {
-  auto value_of = [&](int& i, const std::string& arg,
-                      const std::string& flag) -> const char* {
-    if (arg.rfind(flag + "=", 0) == 0) {
-      return argv[i] + flag.size() + 1;
-    }
-    if (arg == flag && i + 1 < argc) {
-      return argv[++i];
-    }
-    return nullptr;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (const char* v = value_of(i, arg, "--journal")) {
-      settings.journal_path = v;
-    } else if (const char* budget =
-                   value_of(i, arg, "--cell-budget-seconds")) {
-      settings.cell_budget_seconds = std::atof(budget);
-    }
-  }
-}
-
 ExperimentConfig MakeExperimentConfig(const BenchSettings& settings,
                                       ModelKind model) {
   ExperimentConfig config;
@@ -331,53 +309,105 @@ std::vector<std::shared_ptr<augment::Augmenter>> MakePaperTechniques(
   return selected;
 }
 
-StudyResult RunStudy(const BenchSettings& settings, ModelKind model,
-                     bool verbose) {
-  const ExperimentConfig config = MakeExperimentConfig(settings, model);
-  const auto techniques = MakePaperTechniques(settings);
+namespace {
 
-  std::vector<std::string> names = settings.datasets;
-  if (names.empty()) {
-    for (const data::UeaDatasetInfo& info : data::UeaImbalancedCatalog()) {
-      names.push_back(info.name);
+std::vector<std::string> PaperCatalog() {
+  std::vector<std::string> names;
+  for (const data::UeaDatasetInfo& info : data::UeaImbalancedCatalog()) {
+    names.push_back(info.name);
+  }
+  return names;
+}
+
+std::optional<std::string> DescribePaperDataset(const std::string& name) {
+  for (const data::UeaDatasetInfo& info : data::UeaImbalancedCatalog()) {
+    if (info.name != name) continue;
+    char line[128];
+    std::snprintf(line, sizeof(line),
+                  "classes=%d train=%d test=%d dim=%d length=%d",
+                  info.n_classes, info.train_size, info.test_size, info.dim,
+                  info.length);
+    return std::string(line);
+  }
+  return std::nullopt;
+}
+
+data::TrainTest LoadPaperDataset(const std::string& name,
+                                 const BenchSettings& settings) {
+  return data::MakeUeaLikeDataset(name, settings.scale, settings.seed);
+}
+
+std::optional<std::string> DescribeScenario(const std::string& name) {
+  const data::ScenarioInfo* info = data::FindScenario(name);
+  if (info == nullptr) return std::nullopt;
+  char line[256];
+  std::snprintf(line, sizeof(line), "%-10s %s", info->family.c_str(),
+                info->summary.c_str());
+  return std::string(line);
+}
+
+data::TrainTest LoadScenario(const std::string& name,
+                             const BenchSettings& settings) {
+  return data::MakeScenarioDataset(name, settings.seed);
+}
+
+// The paper suite's tag is empty: ConfigFingerprint leaves an empty tag
+// out, so paper journals carry no suite field.
+const StudySuite kSuites[] = {
+    {"paper", "", false, PaperCatalog, DescribePaperDataset,
+     LoadPaperDataset},
+    {"stress", "stress", true, data::ScenarioIds, DescribeScenario,
+     LoadScenario},
+};
+
+}  // namespace
+
+const StudySuite* FindStudySuite(const std::string& name) {
+  for (const StudySuite& suite : kSuites) {
+    if (suite.name == name) return &suite;
+  }
+  return nullptr;
+}
+
+core::StatusOr<StudyPlan> TryPlanStudy(const BenchSettings& settings,
+                                       ModelKind model,
+                                       const std::string& suite_name) {
+  const StudySuite* suite = FindStudySuite(suite_name);
+  if (suite == nullptr) {
+    return core::InvalidArgumentError("unknown suite '" + suite_name +
+                                      "' (expected paper or stress)");
+  }
+  if (suite->rocket_only && model != ModelKind::kRocket) {
+    return core::InvalidArgumentError("suite " + suite->name +
+                                      " runs only the rocket model");
+  }
+  StudyPlan plan;
+  plan.names = settings.datasets.empty() ? suite->catalog() : settings.datasets;
+  for (const std::string& name : plan.names) {
+    if (!suite->describe(name).has_value()) {
+      return core::InvalidArgumentError("unknown dataset '" + name +
+                                        "' in suite " + suite->name);
     }
   }
+  plan.loader = [load = suite->load, settings](const std::string& name) {
+    return load(name, settings);
+  };
+  plan.config = MakeExperimentConfig(settings, model);
+  plan.config.dataset_suite = suite->dataset_suite;
+  plan.techniques = MakePaperTechniques(settings);
+  return plan;
+}
 
-  StudyResult result;
-  result.model = model;
-  result.journal_path = config.journal_path;
-
-  // One journal for the whole study, opened once: its per-cell records are
-  // keyed by dataset name, so each grid finds exactly its own cells.
-  Journal journal;
-  if (!config.journal_path.empty()) {
-    const core::Status opened = journal.Open(
-        config.journal_path, ConfigFingerprint(config, techniques));
-    TSAUG_CHECK_MSG(opened.ok(), "%s", opened.ToString().c_str());
-  }
-
-  for (const std::string& name : names) {
-    if (core::GlobalStopRequested()) {
-      result.interrupted = true;
-      break;
-    }
-    if (verbose) {
-      std::fprintf(stderr, "[%s] running %s...\n",
-                   ModelKindName(model).c_str(), name.c_str());
-    }
-    const data::TrainTest dataset =
-        data::MakeUeaLikeDataset(name, settings.scale, settings.seed);
-    DatasetRow row = RunDatasetGrid(name, dataset, techniques, config,
-                                    journal.is_open() ? &journal : nullptr);
-    result.resumed_cells += row.resumed_cells;
-    const bool interrupted = row.interrupted;
-    result.rows.push_back(std::move(row));
-    if (interrupted) {
-      result.interrupted = true;
-      break;
-    }
-  }
-  return result;
+core::StatusOr<StudyResult> TryRunStudy(const BenchSettings& settings,
+                                        ModelKind model) {
+  const core::StatusOr<StudyPlan> plan = TryPlanStudy(settings, model);
+  if (!plan.ok()) return plan.status();
+  const DatasetLoader loader = [&plan, model](const std::string& name) {
+    std::fprintf(stderr, "[%s] running %s...\n", ModelKindName(model).c_str(),
+                 name.c_str());
+    return plan->loader(name);
+  };
+  return RunShardedStudy(plan->names, loader, plan->techniques, plan->config);
 }
 
 }  // namespace tsaug::eval

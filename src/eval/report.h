@@ -2,12 +2,16 @@
 #define TSAUG_EVAL_REPORT_H_
 
 #include <iosfwd>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/stats.h"
+#include "core/status.h"
 #include "data/uea_catalog.h"
 #include "eval/experiment.h"
+#include "eval/shard.h"
 
 namespace tsaug::eval {
 
@@ -32,21 +36,22 @@ void PrintImprovementCounts(const StudyResult& rocket,
 ///   TSAUG_KERNELS      ROCKET kernels     (default 500; paper 10000)
 ///   TSAUG_EPOCHS       InceptionTime max epochs (default 40; paper 200)
 ///   TSAUG_TIMEGAN_ITERS  per-phase cap    (default 60; paper 2500)
-///   TSAUG_DATASETS     comma-separated subset of Table III names
+///   TSAUG_DATASETS     comma-separated subset of the suite's datasets
+///                      (Table III names; scenario ids for the stress suite)
 ///   TSAUG_TECHNIQUES   comma-separated subset of the paper's technique
 ///                      names (noise_1.0, noise_3.0, noise_5.0, smote,
 ///                      timegan); empty/unset = all five
 ///   TSAUG_JOURNAL      cell journal path (default off; see eval/journal.h)
 ///   TSAUG_CELL_BUDGET  per-cell wall budget in seconds (default off)
-/// The benches also accept --journal=PATH and --cell-budget-seconds=S
-/// flags (bench/fig_demo_common.h), which override the environment.
+/// These variables are the only way to shape a grid: the flags of
+/// tools/grid_main choose the suite, model and process layout only.
 struct BenchSettings {
   data::ScalePreset scale = data::ScalePreset::kTiny;
   int runs = 2;
   int rocket_kernels = 500;
   int inception_epochs = 40;
   int timegan_iterations = 60;
-  std::vector<std::string> datasets;    // empty = all 13
+  std::vector<std::string> datasets;    // empty = the whole suite
   std::vector<std::string> techniques;  // empty = all 5 paper techniques
   std::uint64_t seed = 42;
   std::string journal_path;          // empty = journaling off
@@ -56,13 +61,6 @@ struct BenchSettings {
 /// Reads the TSAUG_* environment variables.
 BenchSettings ReadBenchSettings();
 
-/// Applies the bench command-line flags to `settings`:
-///   --journal=PATH (or --journal PATH)           journal file
-///   --cell-budget-seconds=S (or ... -seconds S)  per-cell wall budget
-/// Flags override the TSAUG_JOURNAL / TSAUG_CELL_BUDGET environment
-/// variables; unrecognised arguments are left for the bench to interpret.
-void ApplyGridFlags(int argc, char** argv, BenchSettings& settings);
-
 /// The experiment configuration for a table bench under these settings.
 ExperimentConfig MakeExperimentConfig(const BenchSettings& settings,
                                       ModelKind model);
@@ -71,14 +69,50 @@ ExperimentConfig MakeExperimentConfig(const BenchSettings& settings,
 std::vector<std::shared_ptr<augment::Augmenter>> MakePaperTechniques(
     const BenchSettings& settings);
 
-/// Runs the full study grid (all selected datasets) for one model.
-/// With settings.journal_path set, one journal is shared across all
-/// datasets, so an interrupted study resumes from wherever it was killed.
-/// A stop request (core/cancel.h) ends the study after flushing the
-/// current dataset's completed cells; the partial result is marked
-/// interrupted.
-StudyResult RunStudy(const BenchSettings& settings, ModelKind model,
-                     bool verbose = true);
+/// A dataset catalog a study can run over. The suite is the only thing
+/// that differs between the paper grid and the stress grid: which names
+/// exist, how a name becomes a dataset, and the dataset_suite tag folded
+/// into the journal fingerprint.
+struct StudySuite {
+  std::string name;           // "paper" | "stress" (grid_main --suite)
+  std::string dataset_suite;  // ExperimentConfig::dataset_suite
+  bool rocket_only = false;   // the suite supports only ModelKind::kRocket
+  /// Every dataset name, in catalog order.
+  std::vector<std::string> (*catalog)() = nullptr;
+  /// One-line description of a dataset; nullopt for a name the suite
+  /// does not have.
+  std::optional<std::string> (*describe)(const std::string& name) = nullptr;
+  data::TrainTest (*load)(const std::string& name,
+                          const BenchSettings& settings) = nullptr;
+};
+
+/// The suite called `name`, or nullptr.
+const StudySuite* FindStudySuite(const std::string& name);
+
+/// One study grid ready for RunShardedStudy.
+struct StudyPlan {
+  std::vector<std::string> names;
+  DatasetLoader loader;
+  ExperimentConfig config;
+  std::vector<std::shared_ptr<augment::Augmenter>> techniques;
+};
+
+/// Plans the study of `suite` under `settings`: settings.datasets (the
+/// whole catalog when empty), the suite's loader, the model config and the
+/// paper techniques. InvalidArgument for an unknown suite, a dataset name
+/// the suite does not have, or a model the suite does not support.
+[[nodiscard]] core::StatusOr<StudyPlan> TryPlanStudy(
+    const BenchSettings& settings, ModelKind model,
+    const std::string& suite = "paper");
+
+/// Runs the paper suite's study grid for one model through
+/// RunShardedStudy, printing a progress line per dataset to stderr. With
+/// settings.journal_path set, one journal is shared across all datasets,
+/// so an interrupted study resumes from wherever it was killed. A stop
+/// request (core/cancel.h) ends the study after flushing the current
+/// dataset's completed cells; the partial result is marked interrupted.
+[[nodiscard]] core::StatusOr<StudyResult> TryRunStudy(
+    const BenchSettings& settings, ModelKind model);
 
 }  // namespace tsaug::eval
 

@@ -81,8 +81,8 @@ using DatasetLoader =
                                                 const std::string& path);
 
 struct SupervisorOptions {
-  /// argv prefix of a worker process (typically {argv[0]} of
-  /// grid_shard_main); the supervisor appends
+  /// argv prefix of a worker process (grid_main passes {argv[0], --suite
+  /// S, --model M}); the supervisor appends
   /// `--worker --shard i/N --attempt k --journal <path>`. Workers inherit
   /// the environment, so the TSAUG_* grid knobs need no forwarding.
   std::vector<std::string> worker_command;
@@ -141,7 +141,7 @@ struct SuperviseResult {
 /// shard.hung_killed.
 ///
 /// Must be called before any thread pool exists in this process (fork):
-/// grid_shard_main supervises first and only replays grids afterwards.
+/// grid_main supervises first and only replays grids afterwards.
 [[nodiscard]] core::StatusOr<SuperviseResult> SuperviseShards(
     const SupervisorOptions& options);
 

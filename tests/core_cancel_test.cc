@@ -2,6 +2,7 @@
 // token/source plumbing, monotonic deadlines, the thread-local scoped
 // token, the process-wide stop channel (including real SIGINT/SIGTERM
 // delivery) and the deterministic fault hooks CheckStop consults.
+#include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <limits>
@@ -11,6 +12,7 @@
 
 #include "core/cancel.h"
 #include "core/faultpoint.h"
+#include "core/parallel.h"
 #include "core/status.h"
 
 namespace tsaug::core {
@@ -128,6 +130,20 @@ TEST(GlobalStop, RequestAndClear) {
   ClearGlobalStop();
   EXPECT_FALSE(GlobalStopRequested());
   EXPECT_TRUE(CheckStop("grid.run").ok());
+}
+
+TEST(GlobalStop, PooledParallelForReturnsOnceStopped) {
+  CleanSlate slate;
+  const int threads = GetNumThreads();
+  SetNumThreads(4);
+  RequestGlobalStop();
+  // The stop abandons the batch before its first chunk; the submitter
+  // must still return instead of waiting for chunks nobody will claim.
+  std::atomic<int> chunks{0};
+  ParallelFor(0, 1000, 1,
+              [&chunks](std::int64_t, std::int64_t) { chunks.fetch_add(1); });
+  EXPECT_EQ(chunks.load(), 0);
+  SetNumThreads(threads);
 }
 
 TEST(GlobalStop, SignalHandlersRequestStopWithTheSignalNumber) {

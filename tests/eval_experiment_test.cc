@@ -8,6 +8,8 @@
 
 #include "augment/noise.h"
 #include "augment/oversample.h"
+#include "data/scenarios.h"
+#include "data/uea_catalog.h"
 #include "eval/report.h"
 
 namespace tsaug::eval {
@@ -359,25 +361,64 @@ TEST(BenchSettings, JournalAndBudgetComeFromEnvironment) {
   EXPECT_DOUBLE_EQ(defaults.cell_budget_seconds, 0.0);
 }
 
-TEST(ApplyGridFlags, ParsesBothSeparateAndEqualsForms) {
+TEST(TryPlanStudy, PaperSuiteDefaultsToTheWholeCatalog) {
+  const BenchSettings settings;
+  const core::StatusOr<StudyPlan> plan =
+      TryPlanStudy(settings, ModelKind::kRocket);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->names.size(), data::UeaImbalancedCatalog().size());
+  EXPECT_TRUE(plan->config.dataset_suite.empty());
+  EXPECT_EQ(plan->techniques.size(), 5u);
+}
+
+TEST(TryPlanStudy, StressSuiteTagsTheConfigAndRunsRocketOnly) {
   BenchSettings settings;
-  const char* argv_equals[] = {"bench", "--journal=/tmp/a.jsonl",
-                               "--cell-budget-seconds=1.5"};
-  ApplyGridFlags(3, const_cast<char**>(argv_equals), settings);
-  EXPECT_EQ(settings.journal_path, "/tmp/a.jsonl");
-  EXPECT_DOUBLE_EQ(settings.cell_budget_seconds, 1.5);
+  settings.datasets = {"length_one_all"};
+  const core::StatusOr<StudyPlan> plan =
+      TryPlanStudy(settings, ModelKind::kRocket, "stress");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->config.dataset_suite, "stress");
+  EXPECT_EQ(plan->loader("length_one_all").train.size(),
+            data::MakeScenarioDataset("length_one_all", settings.seed)
+                .train.size());
 
-  const char* argv_separate[] = {"bench", "--journal", "/tmp/b.jsonl",
-                                 "--cell-budget-seconds", "30"};
-  ApplyGridFlags(5, const_cast<char**>(argv_separate), settings);
-  EXPECT_EQ(settings.journal_path, "/tmp/b.jsonl");
-  EXPECT_DOUBLE_EQ(settings.cell_budget_seconds, 30.0);
+  EXPECT_EQ(TryPlanStudy(settings, ModelKind::kInceptionTime, "stress")
+                .status()
+                .code(),
+            core::StatusCode::kInvalidArgument);
+}
 
-  // Flags the grid does not own are left for the caller; a trailing flag
-  // with no value is ignored rather than read out of bounds.
-  const char* argv_odd[] = {"bench", "--other", "--journal"};
-  ApplyGridFlags(3, const_cast<char**>(argv_odd), settings);
-  EXPECT_EQ(settings.journal_path, "/tmp/b.jsonl");
+TEST(TryPlanStudy, UnknownSuiteOrDatasetIsInvalidArgument) {
+  BenchSettings settings;
+  settings.datasets = {"Heartbeat", "Bogus"};
+  const core::StatusOr<StudyPlan> paper =
+      TryPlanStudy(settings, ModelKind::kRocket);
+  EXPECT_EQ(paper.status().code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(paper.status().ToString().find("'Bogus'"), std::string::npos);
+  // A Table III name is not a scenario id.
+  settings.datasets = {"Heartbeat"};
+  EXPECT_EQ(TryPlanStudy(settings, ModelKind::kRocket, "stress")
+                .status()
+                .code(),
+            core::StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      TryPlanStudy(settings, ModelKind::kRocket, "bogus").status().code(),
+      core::StatusCode::kInvalidArgument);
+}
+
+TEST(TryRunDatasetGrid, NonPositiveRunsAreInvalidArgument) {
+  const data::TrainTest data = SmallData();
+  const std::vector<std::shared_ptr<augment::Augmenter>> techniques = {
+      std::make_shared<augment::NoiseInjection>(1.0),
+  };
+  for (int runs : {0, -2}) {
+    ExperimentConfig config = QuickConfig(ModelKind::kRocket);
+    config.runs = runs;
+    const core::StatusOr<DatasetRow> row =
+        TryRunDatasetGrid("toy", data, techniques, config);
+    EXPECT_EQ(row.status().code(), core::StatusCode::kInvalidArgument)
+        << "runs=" << runs;
+  }
 }
 
 TEST(ConfigFingerprint, CoversIdentityButNotDurabilityKnobs) {

@@ -1,6 +1,6 @@
 // Chaos tests for the sharded grid supervisor (eval/shard.h), driven
-// through the real tools/grid_shard_main binary (path in TSAUG_SHARD_BIN)
-// with real fork/exec worker processes:
+// through the real tools/grid_main binary (path in TSAUG_GRID_BIN) with
+// real fork/exec worker processes:
 //   - a fault-free sharded run's merged report is byte-identical to the
 //     unsharded golden run;
 //   - a worker killed mid-shard by the shard.worker abort action is
@@ -8,13 +8,17 @@
 //     at 1, 2 and 8 worker threads;
 //   - spawn faults and journal-heartbeat hangs are likewise retried;
 //   - a shard that exhausts its retries surfaces as failed kUnavailable
-//     cells in the report (never accuracy 0) and the run still exits 0.
+//     cells in the report (never accuracy 0) and the run still exits 0;
+//   - malformed numeric flags, unknown dataset names and unsupported
+//     suite/model pairs are usage errors (exit 2), never a silent run or
+//     an abort.
 #include <sys/wait.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,14 +35,15 @@ std::string ReadAll(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-const char* ShardBinary() { return std::getenv("TSAUG_SHARD_BIN"); }
+const char* GridBinary() { return std::getenv("TSAUG_GRID_BIN"); }
 
-/// Runs grid_shard_main over a small fixed grid (3 datasets x 2 runs x
+/// Runs grid_main over a small fixed grid (3 datasets x 2 runs x
 /// {baseline, noise_1.0, smote}) with `args` appended, the given worker
-/// thread count and TSAUG_FAULTS spec. Returns the raw std::system wait
-/// status (0 = clean exit).
+/// thread count and TSAUG_FAULTS spec; `env` ("VAR=value ...") overrides
+/// the grid's environment. Returns the raw std::system wait status (0 =
+/// clean exit).
 int RunShard(const std::string& args, int threads,
-             const std::string& faults = "") {
+             const std::string& faults = "", const std::string& env = "") {
   std::string command;
   command += "TSAUG_DATASETS='Epilepsy,RacketSports,Heartbeat' ";
   command += "TSAUG_RUNS=2 TSAUG_KERNELS=80 ";
@@ -46,10 +51,12 @@ int RunShard(const std::string& args, int threads,
   command += "TSAUG_JOURNAL='' ";
   command += "TSAUG_NUM_THREADS=" + std::to_string(threads) + " ";
   command += "TSAUG_FAULTS='" + faults + "' ";
+  command += env;
+  command += " ";
   // Sequential appends: GCC 12 -O2 fires a bogus -Wrestrict on the
   // char*-plus-rvalue-string overload, fatal under the strict CI leg.
   command += "'";
-  command += ShardBinary();
+  command += GridBinary();
   command += "' ";
   command += args;
   return std::system(command.c_str());
@@ -58,6 +65,9 @@ int RunShard(const std::string& args, int threads,
 bool ExitedCleanly(int status) {
   return WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
+
+/// The exit code of a std::system wait status, -1 when killed by a signal.
+int ExitCode(int status) { return WIFEXITED(status) ? WEXITSTATUS(status) : -1; }
 
 /// The integer value of one counter in a trace::ReportJson dump, 0 when
 /// the counter never fired.
@@ -78,7 +88,7 @@ std::string GoldenReport(const std::string& tag, int threads) {
 }
 
 TEST(ShardChaos, FaultFreeShardedRunMatchesGoldenByteForByte) {
-  if (ShardBinary() == nullptr) GTEST_SKIP() << "TSAUG_SHARD_BIN unset";
+  if (GridBinary() == nullptr) GTEST_SKIP() << "TSAUG_GRID_BIN unset";
   const std::string golden = GoldenReport("plain", 2);
   ASSERT_FALSE(golden.empty());
 
@@ -97,7 +107,7 @@ TEST(ShardChaos, FaultFreeShardedRunMatchesGoldenByteForByte) {
 }
 
 TEST(ShardChaos, KilledWorkerIsRestartedByteIdenticalAtOneTwoEightThreads) {
-  if (ShardBinary() == nullptr) GTEST_SKIP() << "TSAUG_SHARD_BIN unset";
+  if (GridBinary() == nullptr) GTEST_SKIP() << "TSAUG_GRID_BIN unset";
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const std::string tag = std::to_string(threads);
@@ -124,7 +134,7 @@ TEST(ShardChaos, KilledWorkerIsRestartedByteIdenticalAtOneTwoEightThreads) {
 }
 
 TEST(ShardChaos, SpawnFaultIsRetriedWithBackoff) {
-  if (ShardBinary() == nullptr) GTEST_SKIP() << "TSAUG_SHARD_BIN unset";
+  if (GridBinary() == nullptr) GTEST_SKIP() << "TSAUG_GRID_BIN unset";
   const std::string golden = GoldenReport("spawn", 2);
   ASSERT_FALSE(golden.empty());
 
@@ -145,7 +155,7 @@ TEST(ShardChaos, SpawnFaultIsRetriedWithBackoff) {
 }
 
 TEST(ShardChaos, HungWorkerIsKilledOnHeartbeatStallAndRestarted) {
-  if (ShardBinary() == nullptr) GTEST_SKIP() << "TSAUG_SHARD_BIN unset";
+  if (GridBinary() == nullptr) GTEST_SKIP() << "TSAUG_GRID_BIN unset";
   const std::string golden = GoldenReport("hang", 2);
   ASSERT_FALSE(golden.empty());
 
@@ -168,7 +178,7 @@ TEST(ShardChaos, HungWorkerIsKilledOnHeartbeatStallAndRestarted) {
 }
 
 TEST(ShardChaos, ExhaustedRetriesSurfaceAsFailedCellsNotAccuracyZero) {
-  if (ShardBinary() == nullptr) GTEST_SKIP() << "TSAUG_SHARD_BIN unset";
+  if (GridBinary() == nullptr) GTEST_SKIP() << "TSAUG_GRID_BIN unset";
   const std::string golden = GoldenReport("fail", 2);
   ASSERT_FALSE(golden.empty());
 
@@ -196,6 +206,61 @@ TEST(ShardChaos, ExhaustedRetriesSurfaceAsFailedCellsNotAccuracyZero) {
   const std::string counters = ReadAll(trace);
   EXPECT_GE(Counter(counters, "shard.failed"), 1);
   EXPECT_EQ(Counter(counters, "shard.completed"), 1);
+}
+
+TEST(ShardChaos, MalformedNumericFlagsExitTwoWithoutRunning) {
+  if (GridBinary() == nullptr) GTEST_SKIP() << "TSAUG_GRID_BIN unset";
+  const std::string out = TempDirFor("shard_badflag_out.txt");
+  const std::string journal = TempDirFor("shard_badflag.jsonl");
+  const std::string dir = TempDirFor("shard_badflag_j");
+  const std::vector<std::string> bad_args = {
+      "--shards abc",
+      "--shards -1",
+      "--shards 2x",
+      "--shards 0 --attempt -3",
+      "--shards 2 --max-retries x --journal-dir '" + dir + "'",
+      "--shards 2 --backoff-ms -5 --journal-dir '" + dir + "'",
+      "--shards 2 --backoff-max-ms 1e3 --journal-dir '" + dir + "'",
+      "--shards 2 --hang-timeout-ms '' --journal-dir '" + dir + "'",
+      "--shards 2 --poll-ms +20 --journal-dir '" + dir + "'",
+      "--worker --shard 1/2x --journal '" + journal + "'",
+      "--worker --shard -1/2 --journal '" + journal + "'",
+      "--worker --shard 1 --journal '" + journal + "'",
+  };
+  for (const std::string& args : bad_args) {
+    SCOPED_TRACE(args);
+    std::filesystem::remove(out);
+    std::filesystem::remove(journal);
+    EXPECT_EQ(ExitCode(RunShard(args + " --out '" + out + "'", 1)), 2);
+    EXPECT_FALSE(std::filesystem::exists(out));
+    EXPECT_FALSE(std::filesystem::exists(journal));
+  }
+}
+
+TEST(ShardChaos, UnknownDatasetOrUnsupportedModelIsAUsageError) {
+  if (GridBinary() == nullptr) GTEST_SKIP() << "TSAUG_GRID_BIN unset";
+  const std::string out = TempDirFor("shard_unknown_out.txt");
+  const std::string err = TempDirFor("shard_unknown_err.txt");
+  for (const std::string suite : {"paper", "stress"}) {
+    SCOPED_TRACE(suite);
+    std::filesystem::remove(out);
+    EXPECT_EQ(ExitCode(RunShard("--suite " + suite + " --shards 0 --out '" +
+                                    out + "' 2> '" + err + "'",
+                                1, "", "TSAUG_DATASETS=Bogus")),
+              2);
+    EXPECT_FALSE(std::filesystem::exists(out));
+    EXPECT_NE(ReadAll(err).find("unknown dataset 'Bogus' in suite " + suite),
+              std::string::npos);
+  }
+  // The stress suite runs ROCKET only, and an unknown suite is refused.
+  EXPECT_EQ(ExitCode(RunShard("--suite stress --model inception --shards 0 "
+                              "--out '" + out + "'",
+                              1, "", "TSAUG_DATASETS=length_one_all")),
+            2);
+  EXPECT_EQ(ExitCode(RunShard("--suite bogus --shards 0 --out '" + out + "'",
+                              1)),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(out));
 }
 
 }  // namespace

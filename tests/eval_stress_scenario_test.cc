@@ -1,6 +1,6 @@
 // Chaos tests for the stress-scenario grid (data/scenarios.h +
-// core/validate.h), driven through the real tools/stress_grid_main binary
-// (path in TSAUG_STRESS_BIN):
+// core/validate.h), driven through the real tools/grid_main binary with
+// --suite stress (path in TSAUG_GRID_BIN):
 //   - the full catalog grid (>= 200 cells) completes crash-free: exit 0,
 //     every cell journaled, and every failed cell carries a typed Status
 //     (never an abort, never a fabricated accuracy 0);
@@ -34,9 +34,9 @@ std::string ReadAll(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-const char* StressBinary() { return std::getenv("TSAUG_STRESS_BIN"); }
+const char* StressBinary() { return std::getenv("TSAUG_GRID_BIN"); }
 
-/// Runs stress_grid_main over the full scenario catalog (2 runs x
+/// Runs grid_main over the full scenario catalog (2 runs x
 /// {baseline, noise_1.0, noise_3.0, smote} per scenario — 4 cells x 2
 /// runs x catalog size, comfortably over the 200-cell bar) with `args`
 /// appended. Returns the raw std::system wait status.
@@ -53,7 +53,7 @@ int RunStress(const std::string& args, int threads,
   // char*-plus-rvalue-string overload, fatal under the strict CI leg.
   command += "'";
   command += StressBinary();
-  command += "' ";
+  command += "' --suite stress ";
   command += args;
   return std::system(command.c_str());
 }
@@ -132,7 +132,7 @@ std::string GoldenReport(const std::string& tag, int threads,
 }
 
 TEST(StressScenarioGrid, CatalogGridCompletesCrashFreeWithTypedFailures) {
-  if (StressBinary() == nullptr) GTEST_SKIP() << "TSAUG_STRESS_BIN unset";
+  if (StressBinary() == nullptr) GTEST_SKIP() << "TSAUG_GRID_BIN unset";
   const std::string journal = TempDirFor("stress_catalog_journal.jsonl");
   std::filesystem::remove(journal);
   const std::string report = GoldenReport("catalog", 2, journal);
@@ -206,7 +206,7 @@ TEST(StressScenarioGrid, CatalogGridCompletesCrashFreeWithTypedFailures) {
 }
 
 TEST(StressScenarioGrid, GoldenReportByteIdenticalAtOneTwoEightThreads) {
-  if (StressBinary() == nullptr) GTEST_SKIP() << "TSAUG_STRESS_BIN unset";
+  if (StressBinary() == nullptr) GTEST_SKIP() << "TSAUG_GRID_BIN unset";
   const std::string golden = GoldenReport("threads_1", 1);
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(GoldenReport("threads_2", 2), golden);
@@ -214,7 +214,7 @@ TEST(StressScenarioGrid, GoldenReportByteIdenticalAtOneTwoEightThreads) {
 }
 
 TEST(StressScenarioGrid, KilledShardWorkerResumesByteIdentical) {
-  if (StressBinary() == nullptr) GTEST_SKIP() << "TSAUG_STRESS_BIN unset";
+  if (StressBinary() == nullptr) GTEST_SKIP() << "TSAUG_GRID_BIN unset";
   const std::string golden = GoldenReport("kill", 2);
   ASSERT_FALSE(golden.empty());
 

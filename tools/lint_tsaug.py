@@ -179,8 +179,7 @@ STATUS_DISCARD_BUDGET = {
     # failed signal to a child that is exiting anyway has no recovery.
     "src/eval/shard.cc": 3,
     # Best-effort trace dump on the interrupted (exit 3) path.
-    "tools/grid_shard_main.cc": 1,
-    "tools/stress_grid_main.cc": 1,
+    "tools/grid_main.cc": 1,
     # Parameter-pack expansion over unused gradient slots.
     "src/nn/layers.h": 3,
     # Benchmark bodies discard results to keep the measured loop tight;

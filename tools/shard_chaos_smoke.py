@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sharded-grid chaos smoke for CI (tools/grid_shard_main.cc).
+"""Sharded-grid chaos smoke for CI (tools/grid_main.cc, paper suite).
 
 Runs the unsharded golden study, then a 2-shard supervised run in which
 TSAUG_FAULTS aborts shard 0's first worker attempt mid-shard (SIGABRT
@@ -61,7 +61,7 @@ def read_bytes(path):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bin", required=True,
-                        help="path to the grid_shard_main binary")
+                        help="path to the grid_main binary")
     parser.add_argument("--workdir", required=True,
                         help="scratch directory for journals and reports")
     args = parser.parse_args()
