@@ -63,7 +63,7 @@ int main() {
                 data.train.size(), data.train.num_classes());
     for (const auto& clf : MakeClassifiers(settings)) {
       const auto start = std::chrono::steady_clock::now();
-      clf->Fit(data.train);
+      TSAUG_CHECK_OK(clf->TryFit(data.train));
       const std::vector<int> predicted = clf->Predict(data.test);
       const double seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -

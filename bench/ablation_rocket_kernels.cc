@@ -26,7 +26,7 @@ int main() {
     for (int kernels : kernel_grid) {
       const auto start = std::chrono::steady_clock::now();
       tsaug::classify::RocketClassifier clf(kernels, settings.seed);
-      clf.Fit(data.train);
+      TSAUG_CHECK_OK(clf.TryFit(data.train));
       const double accuracy = clf.Score(data.test);
       const double seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   for (double level : {1.0, 3.0, 5.0}) {
     tsaug::augment::NoiseInjection noise(level);
     tsaug::core::Rng rng(7);
-    const auto generated = noise.Generate(data, 1, 12, rng);
+    const auto generated = noise.TryGenerate(data, 1, 12, rng).value();
     char tag[32];
     std::snprintf(tag, sizeof(tag), "generated_l%.0f", level);
     tsaug::bench::PrintPoints(tag, generated);
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   auto score = [&](const tsaug::core::Dataset& train) {
     tsaug::classify::RocketClassifier clf(/*num_kernels=*/200, /*seed=*/5,
                                           /*z_normalize=*/false);
-    clf.Fit(train);
+    TSAUG_CHECK_OK(clf.TryFit(train));
     return clf.Score(test);
   };
   std::printf("\nROCKET accuracy on a balanced test set:\n");
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     tsaug::augment::NoiseInjection noise(level);
     tsaug::core::Rng rng(13);
     const tsaug::core::Dataset balanced =
-        tsaug::augment::BalanceWithAugmenter(data, noise, rng);
+        tsaug::augment::TryBalanceWithAugmenter(data, noise, rng).value();
     std::printf("  balanced with noise_%.1f:     %.3f\n", level,
                 score(balanced));
   }

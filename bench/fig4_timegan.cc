@@ -38,7 +38,7 @@ int main() {
 
   std::printf("FIGURE 4: TimeGAN sampling from the class posterior\n");
   tsaug::augment::TimeGan gan(config);
-  gan.Fit(real);
+  TSAUG_CHECK_OK(gan.TryFit(real));
   std::printf("training diagnostics: reconstruction %.3f, supervised %.4f, "
               "generator %.3f, discriminator %.3f\n",
               gan.diagnostics().reconstruction_loss,

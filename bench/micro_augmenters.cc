@@ -31,7 +31,7 @@ void RunGenerate(benchmark::State& state, AugmenterT& augmenter) {
   static const tsaug::core::Dataset train = Workload();
   tsaug::core::Rng rng(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(augmenter.Generate(train, 2, 8, rng));
+    benchmark::DoNotOptimize(augmenter.TryGenerate(train, 2, 8, rng).value());
   }
   state.SetItemsProcessed(state.iterations() * 8);
 }
@@ -76,7 +76,7 @@ void BM_TimeGanFit(benchmark::State& state) {
   config.max_sequence_length = 16;
   for (auto _ : state) {
     tsaug::augment::TimeGan gan(config);
-    gan.Fit(class_series);
+    TSAUG_CHECK_OK(gan.TryFit(class_series));
     benchmark::DoNotOptimize(gan.fitted());
   }
 }
@@ -96,7 +96,7 @@ void BM_TimeGanSample(benchmark::State& state) {
   config.joint_iterations = 8;
   config.max_sequence_length = 16;
   tsaug::augment::TimeGan gan(config);
-  gan.Fit(class_series);
+  TSAUG_CHECK_OK(gan.TryFit(class_series));
   tsaug::core::Rng rng(4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gan.Sample(8, rng));

@@ -62,7 +62,7 @@ void BM_RidgeFit(benchmark::State& state) {
   for (int i = 0; i < n; ++i) labels[static_cast<size_t>(i)] = i % 2;
   for (auto _ : state) {
     tsaug::linalg::RidgeClassifierCV clf;
-    clf.Fit(x, labels, 2);
+    TSAUG_CHECK_OK(clf.TryFit(x, labels, 2));
     benchmark::DoNotOptimize(clf.best_alpha());
   }
 }

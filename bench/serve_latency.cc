@@ -10,6 +10,8 @@
 //
 // Flags: --json PATH (default BENCH_serve.json), --connections N (32),
 // --requests N per connection (25), --max-batch N (16), --linger-ms X (2).
+// Every argument is a flag followed by its value: an unknown flag, a flag
+// without a value or a positional argument exits 2 before anything runs.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -51,8 +53,13 @@ int main(int argc, char** argv) {
   tsaug::serve::LoadConfig load_config;
   load_config.connections = 32;
   load_config.requests_per_connection = 25;
-  for (int i = 1; i + 1 < argc; i += 2) {
+  for (int i = 1; i < argc; i += 2) {
     const std::string flag = argv[i];
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "serve_latency: %s: expected --flag VALUE\n",
+                   flag.c_str());
+      return 2;
+    }
     const std::string value = argv[i + 1];
     if (flag == "--json") {
       json_path = value;

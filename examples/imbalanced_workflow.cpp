@@ -19,7 +19,7 @@ namespace {
 double RocketScore(const tsaug::core::Dataset& train,
                    const tsaug::core::Dataset& test) {
   tsaug::classify::RocketClassifier clf(500, 3);
-  clf.Fit(train);
+  TSAUG_CHECK_OK(clf.TryFit(train));
   return clf.Score(test);
 }
 
@@ -35,14 +35,15 @@ double InceptionScore(const tsaug::core::Dataset& train,
   config.trainer.early_stopping_patience = 30;
   config.trainer.learning_rate = 2e-3;
   tsaug::classify::InceptionTimeClassifier clf(config, 3);
-  clf.Fit(train);  // internal 2:1 stratified validation split
+  // Internal 2:1 stratified validation split.
+  TSAUG_CHECK_OK(clf.TryFit(train));
   return clf.Score(test);
 }
 
 double KnnScore(const tsaug::core::Dataset& train,
                 const tsaug::core::Dataset& test) {
   tsaug::classify::KnnClassifier clf(1, tsaug::classify::NnDistance::kDtw, 4);
-  clf.Fit(train);
+  TSAUG_CHECK_OK(clf.TryFit(train));
   return clf.Score(test);
 }
 
@@ -72,7 +73,9 @@ int main() {
     tsaug::core::Dataset train = data.train;
     if (augmenter != nullptr) {
       tsaug::core::Rng rng(17);
-      train = tsaug::augment::BalanceWithAugmenter(data.train, *augmenter, rng);
+      train = tsaug::augment::TryBalanceWithAugmenter(data.train, *augmenter,
+                                                      rng)
+                  .value();
     }
     std::printf("%-14s %9.2f%% %14.2f%% %9.2f%%\n", name.c_str(),
                 100.0 * RocketScore(train, data.test),

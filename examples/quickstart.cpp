@@ -26,19 +26,19 @@ int main() {
 
   // Baseline: ROCKET features + ridge classifier with LOOCV alpha.
   tsaug::classify::RocketClassifier baseline(/*num_kernels=*/1000, /*seed=*/7);
-  baseline.Fit(data.train);
+  TSAUG_CHECK_OK(baseline.TryFit(data.train));
   const double baseline_accuracy = baseline.Score(data.test);
 
   // Augmented: SMOTE-balance the training set, then train the same model.
   tsaug::augment::Smote smote;
   tsaug::core::Rng rng(42);
   const tsaug::core::Dataset balanced =
-      tsaug::augment::BalanceWithAugmenter(data.train, smote, rng);
+      tsaug::augment::TryBalanceWithAugmenter(data.train, smote, rng).value();
   std::printf("after SMOTE balancing: %d series (degree %.2f)\n",
               balanced.size(), tsaug::core::ImbalanceDegree(balanced));
 
   tsaug::classify::RocketClassifier augmented(1000, 7);
-  augmented.Fit(balanced);
+  TSAUG_CHECK_OK(augmented.TryFit(balanced));
   const double augmented_accuracy = augmented.Score(data.test);
 
   std::printf("\naccuracy  baseline: %.2f%%   augmented: %.2f%%   "

@@ -37,7 +37,7 @@ int main() {
   config.max_sequence_length = 20;
   config.seed = 4;
   tsaug::augment::TimeGan gan(config);
-  gan.Fit(minority);
+  TSAUG_CHECK_OK(gan.TryFit(minority));
   std::printf("phase losses: reconstruction %.3f / supervised %.4f / "
               "generator %.3f / discriminator %.3f\n",
               gan.diagnostics().reconstruction_loss,

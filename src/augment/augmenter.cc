@@ -73,16 +73,6 @@ core::StatusOr<std::vector<core::TimeSeries>> Augmenter::TryGenerate(
   return out;
 }
 
-std::vector<core::TimeSeries> Augmenter::Generate(const core::Dataset& train,
-                                                  int label, int count,
-                                                  core::Rng& rng) {
-  core::StatusOr<std::vector<core::TimeSeries>> out =
-      TryGenerate(train, label, count, rng);
-  TSAUG_CHECK_MSG(out.ok(), "augment.%s: %s", name().c_str(),
-                  out.status().ToString().c_str());
-  return std::move(out).value();
-}
-
 core::StatusOr<std::vector<core::TimeSeries>> TransformAugmenter::DoGenerate(
     const core::Dataset& train, int label, int count, core::Rng& rng) {
   TSAUG_CHECK(count >= 0);
@@ -127,14 +117,6 @@ core::StatusOr<core::Dataset> TryBalanceWithAugmenter(
   return augmented;
 }
 
-core::Dataset BalanceWithAugmenter(const core::Dataset& train,
-                                   Augmenter& augmenter, core::Rng& rng) {
-  core::StatusOr<core::Dataset> out =
-      TryBalanceWithAugmenter(train, augmenter, rng);
-  TSAUG_CHECK_MSG(out.ok(), "%s", out.status().ToString().c_str());
-  return std::move(out).value();
-}
-
 core::StatusOr<core::Dataset> TryExpandWithAugmenter(
     const core::Dataset& train, Augmenter& augmenter, double factor,
     core::Rng& rng) {
@@ -156,15 +138,6 @@ core::StatusOr<core::Dataset> TryExpandWithAugmenter(
     }
   }
   return augmented;
-}
-
-core::Dataset ExpandWithAugmenter(const core::Dataset& train,
-                                  Augmenter& augmenter, double factor,
-                                  core::Rng& rng) {
-  core::StatusOr<core::Dataset> out =
-      TryExpandWithAugmenter(train, augmenter, factor, rng);
-  TSAUG_CHECK_MSG(out.ok(), "%s", out.status().ToString().c_str());
-  return std::move(out).value();
 }
 
 }  // namespace tsaug::augment

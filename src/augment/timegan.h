@@ -53,9 +53,6 @@ class TimeGan {
   /// kInjectedFault under the "timegan.fit" fault point.
   [[nodiscard]] core::Status TryFit(const std::vector<core::TimeSeries>& series);
 
-  /// Aborting wrapper around TryFit() for callers without a recovery path.
-  void Fit(const std::vector<core::TimeSeries>& series);
-
   bool fitted() const { return fitted_; }
 
   /// Draws `count` synthetic series (at the training sequence length,
@@ -89,7 +86,7 @@ class TimeGan {
   std::vector<double> feature_max_;
   std::vector<nn::Tensor> scaled_;  // [T, F] per training instance
 
-  // Networks (created in Fit).
+  // Networks (created in TryFit).
   std::unique_ptr<nn::Gru> embedder_gru_;
   std::unique_ptr<nn::TimeDistributed> embedder_head_;
   std::unique_ptr<nn::Gru> recovery_gru_;
@@ -106,7 +103,7 @@ class TimeGan {
 };
 
 /// The taxonomy's generative/neural augmenter: one TimeGAN per class,
-/// trained lazily on first use and cached across Generate() calls.
+/// trained lazily on first use and cached across TryGenerate() calls.
 ///
 /// When a fallback augmenter is configured, a class whose GAN training
 /// diverges degrades gracefully: the fallback generates that class's

@@ -129,7 +129,7 @@ std::map<std::uint64_t, int> BossClassifier::Histogram(
   return histogram;
 }
 
-void BossClassifier::Fit(const core::Dataset& train) {
+core::Status BossClassifier::TryFit(const core::Dataset& train) {
   TSAUG_CHECK(!train.empty());
   train_length_ = train.max_length();
   const int channels = train.num_channels();
@@ -159,6 +159,7 @@ void BossClassifier::Fit(const core::Dataset& train) {
   for (int i = 0; i < train.size(); ++i) {
     train_histograms_.push_back(Histogram(train.series(i)));
   }
+  return core::OkStatus();
 }
 
 std::vector<int> BossClassifier::Predict(const core::Dataset& test) {

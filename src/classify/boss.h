@@ -57,7 +57,7 @@ class BossClassifier : public Classifier {
                           int alphabet_size = 4, bool z_normalize = true);
 
   std::string name() const override { return "BOSS"; }
-  void Fit(const core::Dataset& train) override;
+  [[nodiscard]] core::Status TryFit(const core::Dataset& train) override;
   std::vector<int> Predict(const core::Dataset& test) override;
 
   /// Word histogram of one series (exposed for tests).

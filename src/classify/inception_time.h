@@ -80,19 +80,13 @@ class InceptionTimeClassifier : public Classifier {
 
   std::string name() const override { return "InceptionTime"; }
 
-  /// Fit with an internal stratified 2:1 train/validation split.
-  void Fit(const core::Dataset& train) override;
-
-  /// Surfaces ensemble-member training divergence (after the trainer's
+  /// Fit with an internal stratified 2:1 train/validation split. Surfaces
+  /// ensemble-member training divergence (after the trainer's
   /// checkpoint-restore retries are exhausted) instead of aborting.
   [[nodiscard]] core::Status TryFit(const core::Dataset& train) override;
 
   /// The paper's protocol: train on `train` (possibly augmented), validate
   /// early stopping on `validation` (original samples only).
-  void FitWithValidation(const core::Dataset& train,
-                         const core::Dataset& validation);
-
-  /// Recoverable variant of FitWithValidation().
   [[nodiscard]] core::Status TryFitWithValidation(const core::Dataset& train,
                                     const core::Dataset& validation);
 

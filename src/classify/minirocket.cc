@@ -203,13 +203,16 @@ MiniRocketClassifier::MiniRocketClassifier(int num_features,
                                            bool z_normalize)
     : transform_(num_features, seed), z_normalize_(z_normalize) {}
 
-void MiniRocketClassifier::Fit(const core::Dataset& train) {
+core::Status MiniRocketClassifier::TryFit(const core::Dataset& train) {
   TSAUG_CHECK(!train.empty());
   TSAUG_TRACE_SCOPE("train.minirocket");
   train_length_ = train.max_length();
   const nn::Tensor x = DatasetToTensor(train, train_length_, z_normalize_);
   transform_.Fit(x);
-  ridge_.Fit(transform_.Transform(x), train.labels(), train.num_classes());
+  core::Status status = ridge_.TryFit(transform_.Transform(x), train.labels(),
+                                      train.num_classes());
+  if (!status.ok()) return status.AddContext("minirocket");
+  return status;
 }
 
 std::vector<int> MiniRocketClassifier::Predict(const core::Dataset& test) {

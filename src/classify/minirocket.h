@@ -68,7 +68,7 @@ class MiniRocketClassifier : public Classifier {
                                 bool z_normalize = true);
 
   std::string name() const override { return "MiniRocket"; }
-  void Fit(const core::Dataset& train) override;
+  [[nodiscard]] core::Status TryFit(const core::Dataset& train) override;
   std::vector<int> Predict(const core::Dataset& test) override;
 
   const MiniRocketTransform& transform() const { return transform_; }

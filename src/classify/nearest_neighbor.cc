@@ -21,7 +21,7 @@ std::string KnnClassifier::name() const {
   return base;
 }
 
-void KnnClassifier::Fit(const core::Dataset& train) {
+core::Status KnnClassifier::TryFit(const core::Dataset& train) {
   TSAUG_CHECK(!train.empty());
   train_ = core::Dataset(train.num_classes());
   for (int i = 0; i < train.size(); ++i) {
@@ -29,6 +29,7 @@ void KnnClassifier::Fit(const core::Dataset& train) {
     if (z_normalize_) s = core::ZNormalize(s);
     train_.Add(std::move(s), train.label(i));
   }
+  return core::OkStatus();
 }
 
 std::vector<int> KnnClassifier::Predict(const core::Dataset& test) {

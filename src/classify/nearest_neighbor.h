@@ -23,7 +23,7 @@ class KnnClassifier : public Classifier {
                          int dtw_window = -1, bool z_normalize = true);
 
   std::string name() const override;
-  void Fit(const core::Dataset& train) override;
+  [[nodiscard]] core::Status TryFit(const core::Dataset& train) override;
   std::vector<int> Predict(const core::Dataset& test) override;
 
  private:

@@ -233,7 +233,7 @@ linalg::Matrix IntervalForestClassifier::ExtractFeatures(
   return features;
 }
 
-void IntervalForestClassifier::Fit(const core::Dataset& train) {
+core::Status IntervalForestClassifier::TryFit(const core::Dataset& train) {
   TSAUG_CHECK(!train.empty());
   train_length_ = train.max_length();
   channels_ = train.num_channels();
@@ -251,6 +251,7 @@ void IntervalForestClassifier::Fit(const core::Dataset& train) {
   }
 
   forest_.Fit(ExtractFeatures(train), train.labels(), train.num_classes());
+  return core::OkStatus();
 }
 
 std::vector<int> IntervalForestClassifier::Predict(const core::Dataset& test) {

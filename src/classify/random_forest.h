@@ -90,7 +90,7 @@ class IntervalForestClassifier : public Classifier {
                                     bool z_normalize = true);
 
   std::string name() const override { return "IntervalForest"; }
-  void Fit(const core::Dataset& train) override;
+  [[nodiscard]] core::Status TryFit(const core::Dataset& train) override;
   std::vector<int> Predict(const core::Dataset& test) override;
 
   int num_features() const;

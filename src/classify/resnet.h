@@ -60,9 +60,12 @@ class ResNetClassifier : public Classifier {
   explicit ResNetClassifier(ResNetConfig config = {}, std::uint64_t seed = 0);
 
   std::string name() const override { return "ResNet"; }
-  void Fit(const core::Dataset& train) override;
-  void FitWithValidation(const core::Dataset& train,
-                         const core::Dataset& validation);
+  /// Fit with an internal stratified train/validation split. Surfaces
+  /// training divergence (after the trainer's checkpoint-restore retries
+  /// are exhausted) instead of aborting.
+  [[nodiscard]] core::Status TryFit(const core::Dataset& train) override;
+  [[nodiscard]] core::Status TryFitWithValidation(
+      const core::Dataset& train, const core::Dataset& validation);
   std::vector<int> Predict(const core::Dataset& test) override;
 
   const nn::TrainResult& train_result() const { return train_result_; }

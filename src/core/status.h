@@ -104,7 +104,7 @@ class [[nodiscard]] StatusOr {
  public:
   StatusOr(T value) : value_(std::move(value)) {}  // NOLINT: implicit
   StatusOr(Status status) : status_(std::move(status)) {  // NOLINT: implicit
-    TSAUG_CHECK_MSG(!status_.ok(),
+    TSAUG_CHECK_MSG(status_.code() != StatusCode::kOk,
                     "StatusOr constructed from OK status without a value");
   }
 
@@ -145,6 +145,22 @@ class [[nodiscard]] StatusOr {
   do {                                                     \
     ::tsaug::core::Status tsaug_status_tmp_ = (expr);      \
     if (!tsaug_status_tmp_.ok()) return tsaug_status_tmp_; \
+  } while (0)
+
+/// Aborts with the Status text when the Status `expr` is an error. The
+/// library has no aborting wrappers: every fallible entry point returns a
+/// Status or StatusOr. This macro (and StatusOr::value(), which aborts the
+/// same way) is for the program edge only — tests, benches, tools and
+/// setup on known-good data. `expr` is evaluated once.
+#define TSAUG_CHECK_OK(expr)                                                \
+  do {                                                                      \
+    const ::tsaug::core::Status tsaug_check_ok_tmp_ = (expr);               \
+    if (!tsaug_check_ok_tmp_.ok()) {                                        \
+      std::fprintf(stderr, "TSAUG_CHECK_OK failed at %s:%d: %s: %s\n",      \
+                   __FILE__, __LINE__, #expr,                               \
+                   tsaug_check_ok_tmp_.ToString().c_str());                 \
+      std::abort();                                                         \
+    }                                                                       \
   } while (0)
 
 #endif  // TSAUG_CORE_STATUS_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "core/rng.h"
 
@@ -503,12 +502,6 @@ core::StatusOr<TrainTest> TryMakeScenarioDataset(const std::string& id,
   }
   return core::InvalidArgumentError("scenarios: unknown scenario id \"" + id +
                                     "\"");
-}
-
-TrainTest MakeScenarioDataset(const std::string& id, std::uint64_t seed) {
-  core::StatusOr<TrainTest> data = TryMakeScenarioDataset(id, seed);
-  TSAUG_CHECK_MSG(data.ok(), "%s", data.status().ToString().c_str());
-  return std::move(data).value();
 }
 
 }  // namespace tsaug::data

@@ -154,13 +154,8 @@ struct ScoreOutcome {
 /// Trains the configured model on `train` and scores it on `test`.
 /// For InceptionTime, `validation` holds the original stratified samples
 /// used for early stopping (the paper keeps augmented data out of it).
-double TrainAndScore(const ExperimentConfig& config,
-                     const core::Dataset& train,
-                     const core::Dataset& validation,
-                     const core::Dataset& test, std::uint64_t run_seed);
-
-/// Recoverable variant of TrainAndScore(): returns the Status of a model
-/// whose training failed after its recovery policies were exhausted.
+/// Returns the Status of a model whose training failed after its recovery
+/// policies were exhausted.
 [[nodiscard]] core::StatusOr<ScoreOutcome> TryTrainAndScore(const ExperimentConfig& config,
                                               const core::Dataset& train,
                                               const core::Dataset& validation,
@@ -190,13 +185,6 @@ std::string ConfigFingerprint(
 /// to the journal. Errors: InvalidArgument when config.runs < 1, or the
 /// journal open Status.
 [[nodiscard]] core::StatusOr<DatasetRow> TryRunDatasetGrid(
-    const std::string& name, const data::TrainTest& data,
-    const std::vector<std::shared_ptr<augment::Augmenter>>& techniques,
-    const ExperimentConfig& config, Journal* journal = nullptr);
-
-/// Aborting wrapper over TryRunDatasetGrid (a journal open failure — e.g.
-/// a fingerprint mismatch — crashes instead of returning a Status).
-DatasetRow RunDatasetGrid(
     const std::string& name, const data::TrainTest& data,
     const std::vector<std::shared_ptr<augment::Augmenter>>& techniques,
     const ExperimentConfig& config, Journal* journal = nullptr);

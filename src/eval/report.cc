@@ -348,7 +348,8 @@ std::optional<std::string> DescribeScenario(const std::string& name) {
 
 data::TrainTest LoadScenario(const std::string& name,
                              const BenchSettings& settings) {
-  return data::MakeScenarioDataset(name, settings.seed);
+  // Suite names are validated against ScenarioIds before loading.
+  return data::TryMakeScenarioDataset(name, settings.seed).value();
 }
 
 // The paper suite's tag is empty: ConfigFingerprint leaves an empty tag

@@ -33,8 +33,9 @@ Service::Service(const ServiceConfig& config)
   }
   // Fitting at construction makes every later score batch a pure
   // transform+predict: the model (like the dataset) is part of the
-  // registry, deterministic in the config seeds.
-  model_.Fit(data_.train);
+  // registry, deterministic in the config seeds. The synthetic registry
+  // data is known-good, so a failed fit is a configuration bug.
+  TSAUG_CHECK_OK(model_.TryFit(data_.train));
 }
 
 augment::Augmenter* Service::FindTechnique(const std::string& name) {

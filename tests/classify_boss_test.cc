@@ -90,7 +90,7 @@ TEST(BossClassifier, HistogramUsesNumerosityReduction) {
   spec.seed = 2;
   const core::Dataset train = data::MakeSynthetic(spec).train;
   BossClassifier boss(8, 4, 4);
-  boss.Fit(train);
+  TSAUG_CHECK_OK(boss.TryFit(train));
   const auto histogram = boss.Histogram(train.series(0));
   int total = 0;
   for (const auto& [word, count] : histogram) total += count;
@@ -110,7 +110,7 @@ TEST(BossClassifier, LearnsSeparableClasses) {
   spec.seed = 3;
   const data::TrainTest data = data::MakeSynthetic(spec);
   BossClassifier boss(12, 4, 4);
-  boss.Fit(data.train);
+  TSAUG_CHECK_OK(boss.TryFit(data.train));
   EXPECT_GE(boss.Score(data.test), 0.7);
 }
 
@@ -124,7 +124,7 @@ TEST(BossClassifier, MulticlassRuns) {
   spec.seed = 4;
   const data::TrainTest data = data::MakeSynthetic(spec);
   BossClassifier boss;
-  boss.Fit(data.train);
+  TSAUG_CHECK_OK(boss.TryFit(data.train));
   const std::vector<int> predictions = boss.Predict(data.test);
   EXPECT_EQ(predictions.size(), 9u);
   for (int p : predictions) {
@@ -143,7 +143,7 @@ TEST(BossClassifier, ShortSeriesClampWindow) {
   spec.seed = 5;
   const data::TrainTest data = data::MakeSynthetic(spec);
   BossClassifier boss(16, 4, 4);  // window larger than the series
-  boss.Fit(data.train);
+  TSAUG_CHECK_OK(boss.TryFit(data.train));
   EXPECT_EQ(boss.Predict(data.test).size(), 4u);
 }
 

@@ -116,7 +116,7 @@ TEST(IntervalForestClassifier, LearnsSeparableSeries) {
   RandomForest::Config forest;
   forest.num_trees = 40;
   IntervalForestClassifier clf(16, forest, 9);
-  clf.Fit(data.train);
+  TSAUG_CHECK_OK(clf.TryFit(data.train));
   EXPECT_GE(clf.Score(data.test), 0.75);
   EXPECT_EQ(clf.num_features(), 16 * 2 * 3);
 }
@@ -131,7 +131,7 @@ TEST(IntervalForestClassifier, MulticlassImbalancedRuns) {
   spec.seed = 10;
   const data::TrainTest data = data::MakeSynthetic(spec);
   IntervalForestClassifier clf(12, {}, 11);
-  clf.Fit(data.train);
+  TSAUG_CHECK_OK(clf.TryFit(data.train));
   const std::vector<int> predictions = clf.Predict(data.test);
   EXPECT_EQ(predictions.size(), 10u);
   for (int p : predictions) {

@@ -27,28 +27,28 @@ TEST(KnnClassifier, NamesReflectConfig) {
 TEST(KnnClassifier, OneNnDtwClassifiesSeparableData) {
   const data::TrainTest data = SmallData();
   KnnClassifier clf(1, NnDistance::kDtw, /*dtw_window=*/4);
-  clf.Fit(data.train);
+  TSAUG_CHECK_OK(clf.TryFit(data.train));
   EXPECT_GE(clf.Score(data.test), 0.75);
 }
 
 TEST(KnnClassifier, EuclideanVariantWorks) {
   const data::TrainTest data = SmallData(2);
   KnnClassifier clf(1, NnDistance::kEuclidean);
-  clf.Fit(data.train);
+  TSAUG_CHECK_OK(clf.TryFit(data.train));
   EXPECT_GE(clf.Score(data.test), 0.7);
 }
 
 TEST(KnnClassifier, TrainingInstancePredictsItself) {
   const data::TrainTest data = SmallData(3);
   KnnClassifier clf(1, NnDistance::kEuclidean);
-  clf.Fit(data.train);
+  TSAUG_CHECK_OK(clf.TryFit(data.train));
   EXPECT_DOUBLE_EQ(clf.Score(data.train), 1.0);
 }
 
 TEST(KnnClassifier, KThreeMajorityVote) {
   const data::TrainTest data = SmallData(4);
   KnnClassifier clf(3, NnDistance::kEuclidean);
-  clf.Fit(data.train);
+  TSAUG_CHECK_OK(clf.TryFit(data.train));
   const std::vector<int> predictions = clf.Predict(data.test);
   EXPECT_EQ(predictions.size(), 12u);
   for (int p : predictions) {

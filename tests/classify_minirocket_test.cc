@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/faultpoint.h"
 #include "core/rng.h"
 #include "data/synthetic.h"
 
@@ -79,7 +80,7 @@ TEST(MiniRocketClassifier, LearnsSeparableClasses) {
   spec.seed = 8;
   const data::TrainTest data = data::MakeSynthetic(spec);
   MiniRocketClassifier clf(500, 11);
-  clf.Fit(data.train);
+  TSAUG_CHECK_OK(clf.TryFit(data.train));
   EXPECT_GE(clf.Score(data.test), 0.85);
 }
 
@@ -93,8 +94,26 @@ TEST(MiniRocketClassifier, MulticlassImbalanced) {
   spec.seed = 12;
   const data::TrainTest data = data::MakeSynthetic(spec);
   MiniRocketClassifier clf(500, 2);
-  clf.Fit(data.train);
+  TSAUG_CHECK_OK(clf.TryFit(data.train));
   EXPECT_GE(clf.Score(data.test), 0.6);
+}
+
+// A ridge solve that fails on every attempt exhausts alpha escalation;
+// the fit must hand the Status back instead of aborting.
+TEST(MiniRocketClassifier, FailedRidgeSolveIsAStatus) {
+  data::SyntheticSpec spec;
+  spec.num_classes = 2;
+  spec.train_counts = {8, 8};
+  spec.test_counts = {2, 2};
+  spec.length = 24;
+  spec.seed = 8;
+  const data::TrainTest data = data::MakeSynthetic(spec);
+  MiniRocketClassifier clf(84, 3);
+  core::fault::SetSpec("ridge.solve:1+");
+  const core::Status status = clf.TryFit(data.train);
+  core::fault::Clear();
+  EXPECT_EQ(status.code(), core::StatusCode::kInjectedFault)
+      << status.ToString();
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/faultpoint.h"
 #include "data/synthetic.h"
 
 namespace tsaug::classify {
@@ -57,7 +58,7 @@ TEST(ResNetClassifier, LearnsSeparableClasses) {
   const data::TrainTest data = data::MakeSynthetic(spec);
 
   ResNetClassifier clf(TinyResNet(), 5);
-  clf.Fit(data.train);
+  TSAUG_CHECK_OK(clf.TryFit(data.train));
   EXPECT_GE(clf.Score(data.test), 0.7);
   EXPECT_GT(clf.train_result().best_val_accuracy, 0.5);
 }
@@ -76,8 +77,25 @@ TEST(ResNetClassifier, ExplicitValidationSplit) {
   core::Rng rng(7);
   const auto [train_part, val_part] = data.train.StratifiedSplit(2.0 / 3.0, rng);
   ResNetClassifier clf(TinyResNet(), 8);
-  clf.FitWithValidation(train_part, val_part);
+  TSAUG_CHECK_OK(clf.TryFitWithValidation(train_part, val_part));
   EXPECT_EQ(clf.Predict(data.test).size(), 8u);
+}
+
+// Every training step diverging exhausts the trainer's checkpoint-restore
+// retries; the fit must hand the Status back instead of aborting.
+TEST(ResNetClassifier, DivergedTrainingIsAStatus) {
+  data::SyntheticSpec spec;
+  spec.num_classes = 2;
+  spec.train_counts = {9, 9};
+  spec.test_counts = {2, 2};
+  spec.length = 16;
+  spec.seed = 4;
+  const data::TrainTest data = data::MakeSynthetic(spec);
+  ResNetClassifier clf(TinyResNet(), 5);
+  core::fault::SetSpec("trainer.step:1+");
+  const core::Status status = clf.TryFit(data.train);
+  core::fault::Clear();
+  EXPECT_EQ(status.code(), core::StatusCode::kDiverged) << status.ToString();
 }
 
 }  // namespace

@@ -82,7 +82,7 @@ TEST(RocketTransform, ShortSeriesStillWork) {
 TEST(RocketClassifier, LearnsSeparableClasses) {
   const data::TrainTest data = TwoClassData();
   RocketClassifier clf(/*num_kernels=*/300, /*seed=*/7);
-  clf.Fit(data.train);
+  TSAUG_CHECK_OK(clf.TryFit(data.train));
   EXPECT_GE(clf.Score(data.test), 0.85);
 }
 
@@ -96,7 +96,7 @@ TEST(RocketClassifier, MulticlassImbalanced) {
   spec.seed = 11;
   const data::TrainTest data = data::MakeSynthetic(spec);
   RocketClassifier clf(300, 3);
-  clf.Fit(data.train);
+  TSAUG_CHECK_OK(clf.TryFit(data.train));
   EXPECT_GE(clf.Score(data.test), 0.6);
 }
 
@@ -111,7 +111,7 @@ TEST(RocketClassifier, HandlesVariableLengthAndMissing) {
   spec.seed = 13;
   const data::TrainTest data = data::MakeSynthetic(spec);
   RocketClassifier clf(150, 1);
-  clf.Fit(data.train);
+  TSAUG_CHECK_OK(clf.TryFit(data.train));
   const std::vector<int> predictions = clf.Predict(data.test);
   EXPECT_EQ(predictions.size(), 10u);
   for (int p : predictions) EXPECT_TRUE(p == 0 || p == 1);
@@ -121,8 +121,8 @@ TEST(RocketClassifier, MoreKernelsHelpOnHardData) {
   const data::TrainTest data = TwoClassData(21, /*separation=*/0.35);
   RocketClassifier small(20, 5);
   RocketClassifier large(500, 5);
-  small.Fit(data.train);
-  large.Fit(data.train);
+  TSAUG_CHECK_OK(small.TryFit(data.train));
+  TSAUG_CHECK_OK(large.TryFit(data.train));
   // Not strictly monotone in general, but on this task the 25x kernel
   // count should not do worse.
   EXPECT_GE(large.Score(data.test) + 0.1, small.Score(data.test));

@@ -89,8 +89,9 @@ TEST(RunDatasetGrid, RocketGridProducesSaneAccuracies) {
       std::make_shared<augment::NoiseInjection>(1.0),
       std::make_shared<augment::Smote>(),
   };
-  const DatasetRow row =
-      RunDatasetGrid("toy", data, techniques, QuickConfig(ModelKind::kRocket));
+  const DatasetRow row = TryRunDatasetGrid("toy", data, techniques,
+                                           QuickConfig(ModelKind::kRocket))
+                             .value();
   EXPECT_EQ(row.dataset, "toy");
   EXPECT_GT(row.baseline_accuracy, 0.5);
   ASSERT_EQ(row.cells.size(), 2u);
@@ -105,8 +106,8 @@ TEST(RunDatasetGrid, InceptionGridRuns) {
   std::vector<std::shared_ptr<augment::Augmenter>> techniques = {
       std::make_shared<augment::Smote>(),
   };
-  const DatasetRow row = RunDatasetGrid(
-      "toy", data, techniques, QuickConfig(ModelKind::kInceptionTime));
+  const DatasetRow row = TryRunDatasetGrid(
+      "toy", data, techniques, QuickConfig(ModelKind::kInceptionTime)).value();
   EXPECT_GT(row.baseline_accuracy, 0.3);
   EXPECT_GT(row.cells[0].accuracy, 0.3);
 }
@@ -117,8 +118,10 @@ TEST(RunDatasetGrid, DeterministicAcrossCalls) {
       std::make_shared<augment::NoiseInjection>(1.0),
   };
   const ExperimentConfig config = QuickConfig(ModelKind::kRocket);
-  const DatasetRow a = RunDatasetGrid("toy", data, techniques, config);
-  const DatasetRow b = RunDatasetGrid("toy", data, techniques, config);
+  const DatasetRow a =
+      TryRunDatasetGrid("toy", data, techniques, config).value();
+  const DatasetRow b =
+      TryRunDatasetGrid("toy", data, techniques, config).value();
   EXPECT_DOUBLE_EQ(a.baseline_accuracy, b.baseline_accuracy);
   EXPECT_DOUBLE_EQ(a.cells[0].accuracy, b.cells[0].accuracy);
 }
@@ -379,7 +382,8 @@ TEST(TryPlanStudy, StressSuiteTagsTheConfigAndRunsRocketOnly) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(plan->config.dataset_suite, "stress");
   EXPECT_EQ(plan->loader("length_one_all").train.size(),
-            data::MakeScenarioDataset("length_one_all", settings.seed)
+            data::TryMakeScenarioDataset("length_one_all", settings.seed)
+                .value()
                 .train.size());
 
   EXPECT_EQ(TryPlanStudy(settings, ModelKind::kInceptionTime, "stress")

@@ -82,7 +82,7 @@ TEST(ParallelDeterminism, RocketTransformAndPredictIdentical) {
   const linalg::Matrix reference_features = reference_transform.Transform(x);
 
   classify::RocketClassifier reference(150, 11);
-  reference.Fit(data.train);
+  TSAUG_CHECK_OK(reference.TryFit(data.train));
   const std::vector<int> reference_predictions = reference.Predict(data.test);
 
   for (int threads : kThreadCounts) {
@@ -93,7 +93,7 @@ TEST(ParallelDeterminism, RocketTransformAndPredictIdentical) {
         << threads << " threads";
 
     classify::RocketClassifier clf(150, 11);
-    clf.Fit(data.train);
+    TSAUG_CHECK_OK(clf.TryFit(data.train));
     EXPECT_EQ(reference_predictions, clf.Predict(data.test))
         << threads << " threads";
   }
@@ -105,13 +105,13 @@ TEST(ParallelDeterminism, MiniRocketPredictIdentical) {
 
   core::SetNumThreads(1);
   classify::MiniRocketClassifier reference(84, 2);
-  reference.Fit(data.train);
+  TSAUG_CHECK_OK(reference.TryFit(data.train));
   const std::vector<int> reference_predictions = reference.Predict(data.test);
 
   for (int threads : kThreadCounts) {
     core::SetNumThreads(threads);
     classify::MiniRocketClassifier clf(84, 2);
-    clf.Fit(data.train);
+    TSAUG_CHECK_OK(clf.TryFit(data.train));
     EXPECT_EQ(reference_predictions, clf.Predict(data.test))
         << threads << " threads";
   }
@@ -152,13 +152,13 @@ TEST(ParallelDeterminism, DtwKnnPredictionsIdentical) {
   core::SetNumThreads(1);
   classify::KnnClassifier reference(3, classify::NnDistance::kDtw,
                                     /*dtw_window=*/4);
-  reference.Fit(data.train);
+  TSAUG_CHECK_OK(reference.TryFit(data.train));
   const std::vector<int> reference_predictions = reference.Predict(data.test);
 
   for (int threads : kThreadCounts) {
     core::SetNumThreads(threads);
     classify::KnnClassifier clf(3, classify::NnDistance::kDtw, 4);
-    clf.Fit(data.train);
+    TSAUG_CHECK_OK(clf.TryFit(data.train));
     EXPECT_EQ(reference_predictions, clf.Predict(data.test))
         << threads << " threads";
   }
@@ -179,7 +179,7 @@ TEST(ParallelDeterminism, ExperimentGridIdentical) {
         std::make_shared<augment::NoiseInjection>(1.0),
         std::make_shared<augment::Smote>(),
     };
-    return eval::RunDatasetGrid("toy", data, techniques, config);
+    return eval::TryRunDatasetGrid("toy", data, techniques, config).value();
   };
 
   core::SetNumThreads(1);
@@ -217,7 +217,7 @@ TEST(ParallelDeterminism, TracingEnabledGridIdentical) {
         std::make_shared<augment::NoiseInjection>(1.0),
         std::make_shared<augment::Smote>(),
     };
-    return eval::RunDatasetGrid("toy", data, techniques, config);
+    return eval::TryRunDatasetGrid("toy", data, techniques, config).value();
   };
 
   // Reference row computed with tracing off.

@@ -33,11 +33,12 @@ clang-tidy) cannot express:
                         read-only, ...). Keeps the PR-1 determinism guarantee
                         reviewable as call sites multiply.
   check-budget          Data-path code in src/{linalg,augment,nn,data} must not
-                        grow new TSAUG_CHECK / TSAUG_CHECK_MSG sites: per-file
-                        counts are frozen at the fault-tolerance refactor's
-                        level (existing sites are API-contract / structural
-                        invariants). A failure that depends on input data
-                        (singular solve, diverged loss, degenerate class)
+                        grow new TSAUG_CHECK / TSAUG_CHECK_MSG /
+                        TSAUG_CHECK_OK sites: per-file counts are frozen at
+                        the fault-tolerance refactor's level (existing sites
+                        are API-contract / structural invariants). A
+                        failure that depends on input data (singular
+                        solve, diverged loss, degenerate class)
                         must be returned as core::Status so the experiment
                         harness can recover or degrade the one affected cell,
                         not abort the whole grid. TSAUG_DCHECK is not counted.
@@ -120,7 +121,7 @@ SAFETY_COMMENT_RE = re.compile(
 PARALLEL_EXEMPT = ("src/core/parallel.h", "src/core/parallel.cc")
 COMMENT_WINDOW = 6  # lines above a ParallelFor call searched for the comment
 
-# check-budget: frozen per-file TSAUG_CHECK(_MSG) counts in the data-path
+# check-budget: frozen per-file TSAUG_CHECK(_MSG|_OK) counts in the data-path
 # modules (captured after the Status refactor converted every data-dependent
 # abort into a returned core::Status). Files absent from this table have a
 # budget of 0. Lowering a count is always fine; raising one means a new
@@ -187,7 +188,7 @@ STATUS_DISCARD_BUDGET = {
     "bench/bench_kernels.cc": 4,
 }
 
-CHECK_RE = re.compile(r"\bTSAUG_CHECK(?:_MSG)?\s*\(")
+CHECK_RE = re.compile(r"\bTSAUG_CHECK(?:_MSG|_OK)?\s*\(")
 CHECK_BUDGET_DIRS = ("src/linalg/", "src/augment/", "src/nn/", "src/data/")
 CHECK_BUDGET = {
     # src/data joined the budgeted dirs with the scenario catalog: dataset
@@ -196,12 +197,12 @@ CHECK_BUDGET = {
     # path the stress grid depends on. The frozen sites are spec-literal
     # contracts (scenario table constants, generator Spec invariants), not
     # data-dependent conditions.
-    "src/data/scenarios.cc": 2,
+    "src/data/scenarios.cc": 1,
     "src/data/synthetic.cc": 6,
     "src/data/uea_catalog.cc": 2,
-    "src/augment/augmenter.cc": 8,
+    "src/augment/augmenter.cc": 5,
     "src/augment/basic_time.cc": 11,
-    "src/augment/dba.cc": 8,
+    "src/augment/dba.cc": 7,
     "src/augment/decompose.cc": 2,
     "src/augment/emd.cc": 2,
     "src/augment/frequency.cc": 5,
@@ -212,14 +213,14 @@ CHECK_BUDGET = {
     "src/augment/oversample.cc": 4,
     "src/augment/pipeline.cc": 3,
     "src/augment/preserving.cc": 3,
-    "src/augment/timegan.cc": 7,
-    "src/augment/vae.cc": 6,
-    "src/linalg/decomposition.cc": 5,
+    "src/augment/timegan.cc": 6,
+    "src/augment/vae.cc": 5,
+    "src/linalg/decomposition.cc": 4,
     "src/linalg/distance.cc": 6,
     "src/linalg/knn.cc": 1,
     "src/linalg/matrix.cc": 14,
     "src/linalg/matrix.h": 3,
-    "src/linalg/ridge.cc": 12,
+    "src/linalg/ridge.cc": 10,
     "src/nn/autograd.cc": 3,
     "src/nn/layers.cc": 7,
     # ops.cc: +3 over the fault-tolerance freeze for the fused
@@ -227,7 +228,7 @@ CHECK_BUDGET = {
     # invariants identical in kind to the unfused AddRowBias checks.
     "src/nn/ops.cc": 45,
     "src/nn/tensor.h": 3,
-    "src/nn/trainer.cc": 9,
+    "src/nn/trainer.cc": 8,
 }
 
 
