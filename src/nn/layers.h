@@ -120,15 +120,17 @@ class BatchNorm1d : public Module {
   bool stats_initialized_ = false;
 };
 
-/// A single GRU cell (Cho et al.): update/reset gates + candidate state.
+/// The parameters of one GRU layer (Cho et al.): update gate z, reset gate
+/// r and candidate h, each with an input weight, a recurrent weight and a
+/// bias. The recurrence itself runs inside Gru::Forward's fused node.
 class GruCell : public Module {
  public:
   GruCell(int input_size, int hidden_size, core::Rng& rng);
 
-  /// One recurrence step: x [n,in], h [n,hidden] -> new h [n,hidden].
-  Variable Step(const Variable& x, const Variable& h) const;
-
+  /// {wz, uz, bz, wr, ur, br, wh, uh, bh}: weights [in,hidden] and
+  /// [hidden,hidden], biases [hidden].
   std::vector<Variable> Parameters() const override;
+  int input_size() const { return wz_.value().dim(0); }
   int hidden_size() const { return hidden_size_; }
 
  private:
@@ -138,9 +140,20 @@ class GruCell : public Module {
   Variable wh_, uh_, bh_;  // candidate
 };
 
-/// Stacked unidirectional GRU over [n, time, features]; backprop through
-/// time falls out of the autodiff graph. Returns the top layer's hidden
-/// state at every step: [n, time, hidden].
+/// Stacked unidirectional GRU over [n, time, features]. Returns the top
+/// layer's hidden state at every step: [n, time, hidden].
+///
+/// Forward builds ONE graph node for the whole stack: the input projections
+/// of each layer are hoisted out of the time loop, the recurrence runs over
+/// preallocated buffers, and backward is a hand-written BPTT over the saved
+/// gate activations. Values and gradients are bitwise those of the per-step
+/// composition
+///   z = AddRowBiasSigmoid(MatMul(x, wz), MatMul(h, uz), bz)
+///   r = AddRowBiasSigmoid(MatMul(x, wr), MatMul(h, ur), br)
+///   c = AddRowBiasTanh(MatMul(x, wh), MatMul(Mul(r, h), uh), bh)
+///   h' = Add(Mul(OneMinus(z), h), Mul(z, c))
+/// over SelectTime/StackTime with a zero initial state (DESIGN.md, "Fused
+/// GRU sequence", gives the accumulation order that makes this hold).
 class Gru : public Module {
  public:
   Gru(int input_size, int hidden_size, int num_layers, core::Rng& rng);
@@ -156,7 +169,8 @@ class Gru : public Module {
 };
 
 /// Applies a Linear layer independently at every time step:
-/// [n, time, in] -> [n, time, out].
+/// [n, time, in] -> [n, time, out], as one graph node bitwise equal to
+/// StackTime over AddRowBias(MatMul(SelectTime(x, t), w), b).
 class TimeDistributed : public Module {
  public:
   TimeDistributed(int in_features, int out_features, core::Rng& rng);

@@ -2,6 +2,10 @@
 // verify the machinery (three-phase training, shapes, scaling, per-class
 // caching), not sample quality at paper scale.
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -131,6 +135,81 @@ TEST(TimeGanAugmenter, GeneratesAtDatasetLengthAndCachesPerClass) {
   // Second call reuses the cached per-class model (fast path).
   const auto second = augmenter.TryGenerate(train, 1, 2, rng).value();
   EXPECT_EQ(second.size(), 2u);
+}
+
+// ---- Behaviour oracle ----------------------------------------------------
+// FNV-1a digests of seeded TimeGAN output, pinned so an unintended numeric
+// change in the nn stack (GRU recurrence, heads, optimiser, gate kernels)
+// fails here even when it stays deterministic. An intended change re-pins
+// the constants below from the test's failure message.
+
+class Fnv1a {
+ public:
+  void Add(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void Add(double v) { Add(&v, sizeof v); }
+  std::string Hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(hash_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ull;
+};
+
+// Digest of the augmenter's generated bytes for class 0 plus the loss bits
+// of a TimeGan fitted on the same class with the same per-class seed.
+std::string TimeGanOracleDigest(const TimeGanConfig& config) {
+  data::SyntheticSpec spec;
+  spec.num_classes = 2;
+  spec.train_counts = {6, 4};
+  spec.test_counts = {1, 1};
+  spec.num_channels = 2;
+  spec.length = 16;
+  spec.seed = 21;
+  const core::Dataset train = data::MakeSynthetic(spec).train;
+
+  Fnv1a digest;
+  TimeGanAugmenter augmenter(config);
+  core::Rng rng(22);
+  const std::vector<core::TimeSeries> samples =
+      augmenter.TryGenerate(train, 0, 5, rng).value();
+  for (const core::TimeSeries& s : samples) {
+    digest.Add(s.values().data(), s.values().size() * sizeof(double));
+  }
+
+  std::vector<core::TimeSeries> class_series;
+  const std::vector<std::vector<int>> by_class = train.IndicesByClass();
+  for (int i : by_class[0]) {
+    class_series.push_back(train.series(i));
+  }
+  TimeGanConfig class_config = config;
+  class_config.seed = config.seed ^ 0x5eedull;  // the augmenter's label-0 seed
+  TimeGan gan(class_config);
+  TSAUG_CHECK_OK(gan.TryFit(class_series));
+  const TimeGan::TrainingDiagnostics& d = gan.diagnostics();
+  digest.Add(d.reconstruction_loss);
+  digest.Add(d.supervised_loss);
+  digest.Add(d.generator_loss);
+  digest.Add(d.discriminator_loss);
+  return digest.Hex();
+}
+
+TEST(TimeGanOracle, TinyConfigDigestIsPinned) {
+  EXPECT_EQ(TimeGanOracleDigest(TinyConfig()), "3321877222093327");
+}
+
+TEST(TimeGanOracle, DefaultConfigDigestIsPinned) {
+  TimeGanConfig config;  // 2 layers, hidden 10: the stacked-GRU path
+  config.seed = 5;
+  EXPECT_EQ(TimeGanOracleDigest(config), "5300d8956f4a28f3");
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "linalg/distance.h"
 #include "linalg/matrix.h"
 #include "nn/autograd.h"
+#include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 
@@ -252,6 +253,190 @@ TEST(BackendParity, FusedGateMatchesUnfusedComposition) {
     // ...and the fused op itself is backend-parity clean.
     ExpectBackendParity([&] { return run(true); });
   }
+}
+
+// ---- Fused sequence nodes vs the per-step graph ---------------------------
+
+/// The per-step graph the fused Gru replaced, composed from public ops
+/// exactly as the GRU cell's step did: per layer a zero initial state and
+/// one step per time index over SelectTime, then StackTime of the top layer.
+nn::Variable ReferenceGru(const nn::Variable& x, nn::Gru& gru) {
+  const int n = x.value().dim(0);
+  const int time = x.value().dim(1);
+  const std::vector<nn::Variable> params = gru.AllParameters();
+  std::vector<nn::Variable> layer_input;
+  for (int t = 0; t < time; ++t) layer_input.push_back(nn::SelectTime(x, t));
+  for (size_t l = 0; l < params.size() / 9; ++l) {
+    // wz uz bz wr ur br wh uh bh
+    const nn::Variable* p = params.data() + 9 * l;
+    nn::Variable h(nn::Tensor({n, gru.hidden_size()}));
+    std::vector<nn::Variable> outputs;
+    for (const nn::Variable& xt : layer_input) {
+      const nn::Variable z = nn::AddRowBiasSigmoid(
+          nn::MatMul(xt, p[0]), nn::MatMul(h, p[1]), p[2]);
+      const nn::Variable r = nn::AddRowBiasSigmoid(
+          nn::MatMul(xt, p[3]), nn::MatMul(h, p[4]), p[5]);
+      const nn::Variable c = nn::AddRowBiasTanh(
+          nn::MatMul(xt, p[6]), nn::MatMul(nn::Mul(r, h), p[7]), p[8]);
+      h = nn::Add(nn::Mul(nn::OneMinus(z), h), nn::Mul(z, c));
+      outputs.push_back(h);
+    }
+    layer_input = std::move(outputs);
+  }
+  return nn::StackTime(layer_input);
+}
+
+/// The per-step graph the fused TimeDistributed replaced.
+nn::Variable ReferenceTimeDistributed(const nn::Variable& x,
+                                      nn::TimeDistributed& head) {
+  const std::vector<nn::Variable> wb = head.AllParameters();
+  std::vector<nn::Variable> steps;
+  for (int t = 0; t < x.value().dim(1); ++t) {
+    steps.push_back(
+        nn::AddRowBias(nn::MatMul(nn::SelectTime(x, t), wb[0]), wb[1]));
+  }
+  return nn::StackTime(steps);
+}
+
+struct SequenceNets {
+  bool fused;
+  nn::Variable Gru(nn::Gru& gru, const nn::Variable& x) const {
+    return fused ? gru.Forward(x) : ReferenceGru(x, gru);
+  }
+  nn::Variable Head(nn::TimeDistributed& head, const nn::Variable& x) const {
+    return fused ? head.Forward(x) : ReferenceTimeDistributed(x, head);
+  }
+};
+
+/// Normal entries with every 7th set to exactly 0, so the panel kernel's
+/// zero-skip path runs in the input projections.
+nn::Tensor SparseRandomTensor(const std::vector<int>& shape,
+                              std::uint64_t seed) {
+  nn::Tensor t = RandomTensor(shape, seed);
+  for (size_t i = 0; i < t.numel(); i += 7) t[i] = 0.0;
+  return t;
+}
+
+void AppendGrads(std::vector<double>& out, nn::Module& module) {
+  for (const nn::Variable& p : module.AllParameters()) Append(out, p.grad());
+}
+
+/// Runs `fn(nets)` fused and composed under every available backend at 1
+/// and 4 threads: fused must equal composed, and the fused bits must not
+/// depend on the backend or the thread count.
+void ExpectFusedMatchesComposed(
+    const std::function<std::vector<double>(const SequenceNets&)>& fn) {
+  BackendGuard guard;
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::SimdAvailable()) backends.push_back(kernels::Backend::kSimd);
+  std::vector<double> first;
+  for (kernels::Backend backend : backends) {
+    for (int threads : {1, 4}) {
+      kernels::SetBackend(backend);
+      core::SetNumThreads(threads);
+      const std::vector<double> fused = fn(SequenceNets{true});
+      const std::vector<double> composed = fn(SequenceNets{false});
+      ASSERT_EQ(fused.size(), composed.size());
+      EXPECT_EQ(0, std::memcmp(fused.data(), composed.data(),
+                               fused.size() * sizeof(double)))
+          << "fused/composed divergence under "
+          << kernels::BackendName(backend) << " at " << threads
+          << " thread(s)";
+      if (first.empty()) first = fused;
+      ASSERT_EQ(first.size(), fused.size());
+      EXPECT_EQ(0, std::memcmp(first.data(), fused.data(),
+                               fused.size() * sizeof(double)))
+          << "fused divergence under " << kernels::BackendName(backend)
+          << " at " << threads << " thread(s)";
+    }
+  }
+}
+
+/// Gru + TimeDistributed head, memcmp against the per-step composition:
+/// outputs, every parameter gradient and the input gradient, over 1/2/3
+/// layers, T = 1/2/16, n = 1/5/32, with the input a constant or an
+/// interior node that the loss also reads directly.
+TEST(BackendParity, FusedGruMatchesStepComposition) {
+  for (int layers : {1, 2, 3}) {
+    for (int time : {1, 2, 16}) {
+      for (int n : {1, 5, 32}) {
+        for (bool input_grad : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "layers=" << layers << " T=" << time << " n=" << n
+                       << " input_grad=" << input_grad);
+          const std::uint64_t seed =
+              static_cast<std::uint64_t>(100 * layers + 10 * time + n);
+          const nn::Tensor tx = SparseRandomTensor({n, time, 3}, seed);
+          const nn::Tensor target = RandomTensor({n, time, 2}, seed + 1);
+          ExpectFusedMatchesComposed([&](const SequenceNets& nets) {
+            core::Rng rng(seed + 2);
+            nn::Gru gru(3, 4, layers, rng);
+            nn::TimeDistributed head(4, 2, rng);
+            const nn::Variable leaf(tx, input_grad);
+            const nn::Variable input = input_grad ? nn::Sigmoid(leaf) : leaf;
+            const nn::Variable hidden = nets.Gru(gru, input);
+            const nn::Variable y = nets.Head(head, hidden);
+            nn::Variable loss = nn::MseLoss(y, target);
+            if (input_grad) {
+              loss = nn::Add(loss, nn::Mean(nn::Mul(input, input)));
+            }
+            loss.Backward();
+            std::vector<double> out;
+            Append(out, hidden.value());
+            Append(out, y.value());
+            Append(out, loss.value());
+            AppendGrads(out, gru);
+            AppendGrads(out, head);
+            if (input_grad) Append(out, leaf.grad());
+            return out;
+          });
+        }
+      }
+    }
+  }
+}
+
+/// TimeGAN's discriminator step: one loss applies the same Gru and head to
+/// three inputs, two of which (e and the supervised s(e)) share upstream.
+TEST(BackendParity, FusedGruSharedAcrossInputsMatchesStepComposition) {
+  constexpr int kN = 5;
+  constexpr int kTime = 16;
+  const nn::Tensor noise = SparseRandomTensor({kN, kTime, 3}, 40);
+  const nn::Tensor real = RandomTensor({kN, kTime, 4}, 41);
+  const nn::Tensor ones({kN, kTime, 1}, 1.0);
+  const nn::Tensor zeros({kN, kTime, 1}, 0.0);
+  ExpectFusedMatchesComposed([&](const SequenceNets& nets) {
+    core::Rng rng(42);
+    nn::Gru generator(3, 4, 2, rng);
+    nn::TimeDistributed generator_head(4, 4, rng);
+    nn::Gru supervisor(4, 4, 1, rng);
+    nn::Gru discriminator(4, 4, 2, rng);
+    nn::TimeDistributed discriminator_head(4, 1, rng);
+    auto discriminate = [&](const nn::Variable& h) {
+      return nets.Head(discriminator_head, nets.Gru(discriminator, h));
+    };
+    const nn::Variable real_leaf(real, /*requires_grad=*/true);
+    const nn::Variable h_real = nn::Sigmoid(real_leaf);
+    const nn::Variable e = nn::Sigmoid(nets.Head(
+        generator_head, nets.Gru(generator, nn::Variable(noise))));
+    const nn::Variable s = nn::Sigmoid(nets.Gru(supervisor, e));
+    nn::Variable loss = nn::Add(
+        nn::BceWithLogitsLoss(discriminate(h_real), ones),
+        nn::Add(nn::BceWithLogitsLoss(discriminate(s), zeros),
+                nn::ScaleBy(nn::BceWithLogitsLoss(discriminate(e), zeros),
+                            0.5)));
+    loss.Backward();
+    std::vector<double> out;
+    Append(out, loss.value());
+    for (nn::Module* m :
+         std::initializer_list<nn::Module*>{&generator, &generator_head,
+                                            &supervisor, &discriminator,
+                                            &discriminator_head}) {
+      AppendGrads(out, *m);
+    }
+    Append(out, real_leaf.grad());
+    return out;
+  });
 }
 
 }  // namespace

@@ -110,19 +110,6 @@ TEST(BatchNorm1d, StateRoundTripsThroughGetSetState) {
   EXPECT_EQ(restored.running_var(), bn.running_var());
 }
 
-TEST(GruCell, StepShapesAndRange) {
-  core::Rng rng(8);
-  GruCell cell(3, 5, rng);
-  Variable x(Tensor({2, 3}, 0.5));
-  Variable h(Tensor({2, 5}));
-  Variable h_next = cell.Step(x, h);
-  EXPECT_EQ(h_next.shape(), (std::vector<int>{2, 5}));
-  // GRU state is a convex combination of tanh outputs: bounded by 1.
-  for (size_t i = 0; i < h_next.value().numel(); ++i) {
-    EXPECT_LT(std::fabs(h_next.value()[i]), 1.0);
-  }
-}
-
 TEST(Gru, ForwardShape) {
   core::Rng rng(9);
   Gru gru(4, 6, /*num_layers=*/2, rng);
