@@ -1,5 +1,5 @@
 // Microbenchmarks of the numeric substrates: FFT, DTW, ridge solvers,
-// conv1d, GRU step and the ROCKET transform. google-benchmark based.
+// conv1d, the GRU stack and the ROCKET transform. google-benchmark based.
 #include <benchmark/benchmark.h>
 
 #include "classify/rocket.h"
@@ -94,6 +94,27 @@ void BM_GruForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GruForward)->Arg(12)->Arg(24)->Arg(48);
+
+// One training step of a GRU stack: ZeroGrad, forward and Backward()
+// (BM_GruForward times the forward alone). Args: n, T, hidden, layers;
+// n 8-32, T 16 and hidden 6 are TimeGAN's shapes in the paper grid.
+void BM_GruTrainStep(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int time = static_cast<int>(state.range(1));
+  Rng rng(6);
+  tsaug::nn::Gru gru(4, static_cast<int>(state.range(2)),
+                     static_cast<int>(state.range(3)), rng);
+  tsaug::nn::Tensor x({n, time, 4});
+  for (double& v : x.data()) v = rng.Normal();
+  for (auto _ : state) {
+    gru.ZeroGrad();
+    tsaug::nn::Variable loss =
+        tsaug::nn::Mean(gru.Forward(tsaug::nn::Variable(x)));
+    loss.Backward();
+    benchmark::DoNotOptimize(loss.value());
+  }
+}
+BENCHMARK(BM_GruTrainStep)->ArgsProduct({{8, 32}, {16}, {6, 10}, {1, 2}});
 
 void BM_RocketTransform(benchmark::State& state) {
   const int kernels = static_cast<int>(state.range(0));

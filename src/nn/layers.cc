@@ -274,7 +274,8 @@ void GruBackward(const GruTape& tape, Node& self) {
   };
 
   Buffer g = Zeros(rows * gw);  // this layer's [r | h | z] gate gradients
-  Buffer g_upper;               // the layer above's, for its input chain
+  // The layer above's, for its input chain (the two swap per layer).
+  Buffer g_upper = num_layers > 1 ? Zeros(rows * gw) : Buffer();
   Buffer w_upper_t;             // the layer above's [wr^T; wh^T; wz^T]
   Buffer dh = Zeros(nh);        // dL/dh_t, complete at step t
   Buffer dh_prev = Zeros(nh);   // dL/dh_{t-1}, accumulating
@@ -394,7 +395,6 @@ void GruBackward(const GruTape& tape, Node& self) {
                                   &param(l, kWz).value});
     if (l > 0) {
       std::swap(g, g_upper);
-      if (g.empty()) g = Zeros(rows * gw);
       w_upper_t = std::move(w_t);
       continue;
     }
@@ -443,6 +443,7 @@ Variable GruSequence(const Variable& x,
   }
 
   std::vector<NodePtr> parents{x.node()};
+  tape->layers.reserve(layers.size());
   Buffer proj = Zeros(rows * gw);   // [r | h | z] input projections
   Buffer a_rz = Zeros(2 * nh);      // [h ur | h uz] of one step
   Buffer a_h = Zeros(nh);           // (r * h) uh of one step

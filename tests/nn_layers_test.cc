@@ -116,6 +116,10 @@ TEST(Gru, ForwardShape) {
   Variable x(Tensor({3, 7, 4}, 0.1));
   Variable out = gru.Forward(x);
   EXPECT_EQ(out.shape(), (std::vector<int>{3, 7, 6}));
+  // GRU state is a convex combination of tanh outputs: bounded by 1.
+  for (size_t i = 0; i < out.value().numel(); ++i) {
+    EXPECT_LT(std::fabs(out.value()[i]), 1.0);
+  }
 }
 
 TEST(Gru, GradientsReachAllParameters) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "nn/layers.h"
 #include "nn/ops.h"
 
 namespace tsaug::nn {
@@ -130,6 +131,58 @@ TEST(GradCheck, SelectAndStackTime) {
     for (int t = 3; t >= 0; --t) steps.push_back(SelectTime(v[0], t));
     return Mean(Mul(StackTime(steps), StackTime(steps)));
   });
+}
+
+// Checks every parameter gradient of `module` and the input gradient of a
+// sequence layer's forward against central differences, with the loss
+// mean(y * y) so each output element gets a distinct upstream gradient.
+void CheckSequenceLayer(Module& module, Tensor x,
+                        const std::function<Variable(const Variable&)>& forward) {
+  auto loss_of = [&](const Variable& input) {
+    const Variable y = forward(input);
+    return Mean(Mul(y, y));
+  };
+  const Variable input(x, /*requires_grad=*/true);
+  module.ZeroGrad();
+  loss_of(input).Backward();
+  auto loss_value = [&] { return loss_of(Variable(x)).value().scalar(); };
+  std::vector<Variable> params = module.AllParameters();
+  for (size_t p = 0; p < params.size(); ++p) {
+    for (size_t i = 0; i < params[p].value().numel(); ++i) {
+      const double numeric =
+          NumericalGradient(loss_value, params[p].mutable_value(), i);
+      EXPECT_NEAR(params[p].grad()[i], numeric, 1e-6)
+          << "parameter " << p << " entry " << i;
+    }
+  }
+  for (size_t i = 0; i < x.numel(); ++i) {
+    EXPECT_NEAR(input.grad()[i], NumericalGradient(loss_value, x, i), 1e-6)
+        << "input entry " << i;
+  }
+}
+
+TEST(GradCheck, FusedGruOneLayer) {
+  core::Rng rng(30);
+  Gru gru(2, 3, /*num_layers=*/1, rng);
+  CheckSequenceLayer(gru, RandomTensor({2, 4, 2}, rng),
+                     [&](const Variable& x) { return gru.Forward(x); });
+}
+
+TEST(GradCheck, FusedGruTwoLayers) {
+  core::Rng rng(31);
+  Gru gru(2, 3, /*num_layers=*/2, rng);
+  CheckSequenceLayer(gru, RandomTensor({2, 4, 2}, rng),
+                     [&](const Variable& x) { return gru.Forward(x); });
+}
+
+TEST(GradCheck, FusedTimeDistributed) {
+  core::Rng rng(32);
+  TimeDistributed td(3, 2, rng);
+  // Glorot init leaves the bias at zero; a random bias checks its chain
+  // away from the origin.
+  td.AllParameters()[1].mutable_value() = RandomTensor({2}, rng);
+  CheckSequenceLayer(td, RandomTensor({2, 4, 3}, rng),
+                     [&](const Variable& x) { return td.Forward(x); });
 }
 
 class Conv1dGradCheck
