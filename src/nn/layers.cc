@@ -361,7 +361,8 @@ void GruBackward(const GruTape& tape, Node& self) {
 
     // Weight and bias chains over all T*n rows, t descending, i ascending.
     const double* input =
-        l == 0 ? tape.x.data() : tape.layers[static_cast<size_t>(l - 1)].h.data();
+        l == 0 ? tape.x.data()
+               : tape.layers[static_cast<size_t>(l - 1)].h.data();
     const std::int64_t in = l == 0 ? tape.input : hid;
     for (std::int64_t p = 0; p < in; ++p) {
       for (auto [gate, w] : {std::pair{kGateR, kWr}, std::pair{kGateH, kWh},

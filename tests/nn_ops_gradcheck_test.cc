@@ -136,8 +136,9 @@ TEST(GradCheck, SelectAndStackTime) {
 // Checks every parameter gradient of `module` and the input gradient of a
 // sequence layer's forward against central differences, with the loss
 // mean(y * y) so each output element gets a distinct upstream gradient.
-void CheckSequenceLayer(Module& module, Tensor x,
-                        const std::function<Variable(const Variable&)>& forward) {
+void CheckSequenceLayer(
+    Module& module, Tensor x,
+    const std::function<Variable(const Variable&)>& forward) {
   auto loss_of = [&](const Variable& input) {
     const Variable y = forward(input);
     return Mean(Mul(y, y));
