@@ -116,6 +116,30 @@ void BM_GruTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_GruTrainStep)->ArgsProduct({{8, 32}, {16}, {6, 10}, {1, 2}});
 
+// TimeGAN's embedder and recovery head at paper scale on PEMS-SF: a
+// 963-channel input into Gru(hidden 10, 2 layers), then a 963-wide
+// TimeDistributed head; n 32, T 24. These row loops are wide enough to
+// run on the thread pool, so set TSAUG_NUM_THREADS to compare counts.
+void BM_GruWideTrainStep(benchmark::State& state) {
+  constexpr int kN = 32;
+  constexpr int kTime = 24;
+  constexpr int kChannels = 963;
+  Rng rng(7);
+  tsaug::nn::Gru gru(kChannels, 10, 2, rng);
+  tsaug::nn::TimeDistributed head(10, kChannels, rng);
+  tsaug::nn::Tensor x({kN, kTime, kChannels});
+  for (double& v : x.data()) v = rng.Normal();
+  for (auto _ : state) {
+    gru.ZeroGrad();
+    head.ZeroGrad();
+    tsaug::nn::Variable loss = tsaug::nn::Mean(
+        head.Forward(gru.Forward(tsaug::nn::Variable(x))));
+    loss.Backward();
+    benchmark::DoNotOptimize(loss.value());
+  }
+}
+BENCHMARK(BM_GruWideTrainStep)->Unit(benchmark::kMillisecond);
+
 void BM_RocketTransform(benchmark::State& state) {
   const int kernels = static_cast<int>(state.range(0));
   Rng rng(6);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/kernels/kernels.h"
+#include "core/parallel.h"
 #include "core/trace.h"
 
 namespace tsaug::nn {
@@ -206,6 +207,38 @@ Buffer Zeros(std::int64_t count) {
 
 void Zero(Buffer& b) { std::fill(b.begin(), b.end(), 0.0); }
 
+// The rows of a [rows, k] x [k, m] product one chunk takes: at least 2^17
+// multiply-adds, four times MatMul's 2^15. One fused loop does the work of
+// T per-step MatMuls, so at MatMul's grain TimeGAN's small loops (about
+// 40K multiply-adds at the tiny preset) woke the pool for two uneven
+// chunks, and the wake-up cost more than the split saved.
+std::int64_t PanelGrain(std::int64_t k, std::int64_t m) {
+  return std::max<std::int64_t>(1, 131072 / std::max<std::int64_t>(1, k * m));
+}
+
+// fn(lo, hi) over chunks of [0, count), at least `grain` long, on the
+// thread pool. Every caller's index q writes only output rows that no
+// other q touches, each through the same calls in the same order as a
+// serial loop, so the bits do not depend on the thread count. Ranges
+// within one grain skip ParallelFor, as its inline path would, without
+// building its std::function.
+template <typename Fn>
+void ForEachChunk(std::int64_t count, std::int64_t grain, const Fn& fn) {
+  if (count <= grain) {
+    fn(std::int64_t{0}, count);
+  } else {
+    core::ParallelFor(0, count, grain, fn);
+  }
+}
+
+// fn(q) for each q in [0, count), as ForEachChunk.
+template <typename Fn>
+void ForEachRow(std::int64_t count, std::int64_t grain, const Fn& fn) {
+  ForEachChunk(count, grain, [&fn](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t q = lo; q < hi; ++q) fn(q);
+  });
+}
+
 // Row k of the result is row k of every part side by side, so one panel
 // product computes all the parts' products at once: each output element
 // is still its own ascending-k dot over the same operands.
@@ -307,11 +340,11 @@ void GruBackward(const GruTape& tape, Node& self) {
       // A lower layer's h_t has step t+1's recurrent terms already; the
       // layer above's input chain for step t comes after them.
       if (!top) {
-        for (std::int64_t i = 0; i < n; ++i) {
+        ForEachRow(n, PanelGrain(gw, hid), [&](std::int64_t i) {
           kb.row_panel_matmul(g_upper.data() + (s * n + i) * gw, 1, gw,
                               w_upper_t.data(), hid, dh.data() + i * hid,
                               hid);
-        }
+        });
       }
       Zero(dh_prev);
       if (top && t > 0) {
@@ -327,52 +360,53 @@ void GruBackward(const GruTape& tape, Node& self) {
       kb.ew_mul_acc(dh.data(), z, cg.data(), nh);
       // AddRowBiasTanh, then MatMul(Mul(r, h), uh)'s dA.
       Zero(mg);
-      for (std::int64_t i = 0; i < n; ++i) {
+      ForEachRow(n, PanelGrain(hid, hid), [&](std::int64_t i) {
         double* gh = gs + i * gw + kGateH * hid;
         kb.ew_tanh_bwd(cg.data() + i * hid, c + i * hid, gh, hid);
         kb.row_panel_matmul(gh, 1, hid, uh_t.data(), hid,
                             mg.data() + i * hid, hid);
-      }
+      });
       // Mul(r, h): the first recurrent term of dh_{t-1}.
       Zero(rg);
       kb.ew_mul_acc(mg.data(), hp, rg.data(), nh);
       kb.ew_mul_acc(mg.data(), r, dh_prev.data(), nh);
       // AddRowBiasSigmoid (reset), then MatMul(h, ur)'s dA.
-      for (std::int64_t i = 0; i < n; ++i) {
+      ForEachRow(n, PanelGrain(hid, hid), [&](std::int64_t i) {
         double* gr = gs + i * gw + kGateR * hid;
         kb.ew_sigmoid_bwd(rg.data() + i * hid, r + i * hid, gr, hid);
         kb.row_panel_matmul(gr, 1, hid, ur_t.data(), hid,
                             dh_prev.data() + i * hid, hid);
-      }
+      });
       // Mul(OneMinus(z), h), then OneMinus.
       Zero(omg);
       kb.ew_mul_acc(dh.data(), hp, omg.data(), nh);
       kb.ew_mul_acc(dh.data(), omz, dh_prev.data(), nh);
       kb.ew_sub_acc(omg.data(), zg.data(), nh);
       // AddRowBiasSigmoid (update), then MatMul(h, uz)'s dA.
-      for (std::int64_t i = 0; i < n; ++i) {
+      ForEachRow(n, PanelGrain(hid, hid), [&](std::int64_t i) {
         double* gz = gs + i * gw + kGateZ * hid;
         kb.ew_sigmoid_bwd(zg.data() + i * hid, z + i * hid, gz, hid);
         kb.row_panel_matmul(gz, 1, hid, uz_t.data(), hid,
                             dh_prev.data() + i * hid, hid);
-      }
+      });
       std::swap(dh, dh_prev);  // the gradient of h_{-1} is dropped
     }
 
     // Weight and bias chains over all T*n rows, t descending, i ascending.
+    // Index p owns row p of each weight gradient, as in MatMul's dB.
     const double* input =
         l == 0 ? tape.x.data()
                : tape.layers[static_cast<size_t>(l - 1)].h.data();
     const std::int64_t in = l == 0 ? tape.input : hid;
-    for (std::int64_t p = 0; p < in; ++p) {
+    ForEachRow(in, PanelGrain(rows, gw), [&](std::int64_t p) {
       for (auto [gate, w] : {std::pair{kGateR, kWr}, std::pair{kGateH, kWh},
                              std::pair{kGateZ, kWz}}) {
         kb.row_panel_matmul(input + p, in, rows, g.data() + gate * hid, gw,
                             param(l, w).grad.row2(static_cast<int>(p)), hid);
       }
-    }
+    });
     const double* h_prev = layer.h.data() + nh;
-    for (std::int64_t p = 0; p < hid; ++p) {
+    ForEachRow(hid, PanelGrain(rows, gw), [&](std::int64_t p) {
       const int row = static_cast<int>(p);
       kb.row_panel_matmul(h_prev + p, hid, rows, g.data() + kGateR * hid, gw,
                           param(l, kUr).grad.row2(row), hid);
@@ -381,7 +415,7 @@ void GruBackward(const GruTape& tape, Node& self) {
       kb.row_panel_matmul(layer.rh.data() + p, hid, rows,
                           g.data() + kGateH * hid, gw,
                           param(l, kUh).grad.row2(row), hid);
-    }
+    });
     for (std::int64_t q = 0; q < rows; ++q) {
       for (auto [gate, b] : {std::pair{kGateR, kBr}, std::pair{kGateH, kBh},
                              std::pair{kGateZ, kBz}}) {
@@ -401,10 +435,14 @@ void GruBackward(const GruTape& tape, Node& self) {
     }
     Node& px = *self.parents[0];
     if (!px.requires_grad) continue;
-    // SelectTime's zero-initialised gradient, then its add into x.
-    Buffer dsel = Zeros(in);
-    for (std::int64_t t = 0; t < time; ++t) {
-      for (std::int64_t i = 0; i < n; ++i) {
+    // SelectTime's zero-initialised gradient, then its add into x; row
+    // q = t*n + i owns x's row (i, t).
+    ForEachChunk(rows, PanelGrain(gw, in),
+                 [&](std::int64_t lo, std::int64_t hi) {
+      Buffer dsel = Zeros(in);
+      for (std::int64_t q = lo; q < hi; ++q) {
+        const std::int64_t t = q / n;
+        const std::int64_t i = q % n;
         Zero(dsel);
         kb.row_panel_matmul(g.data() + ((time - 1 - t) * n + i) * gw, 1, gw,
                             w_t.data(), in, dsel.data(), in);
@@ -412,7 +450,7 @@ void GruBackward(const GruTape& tape, Node& self) {
                       px.grad.row3(static_cast<int>(i), static_cast<int>(t)),
                       in);
       }
-    }
+    });
   }
 }
 
@@ -469,10 +507,10 @@ Variable GruSequence(const Variable& x,
     const Buffer w =
         ConcatColumns({&p[kWr].value(), &p[kWh].value(), &p[kWz].value()});
     Zero(proj);
-    for (std::int64_t q = 0; q < rows; ++q) {
+    ForEachRow(rows, PanelGrain(in, gw), [&](std::int64_t q) {
       kt.row_panel_matmul(input + q * in, 1, in, w.data(), gw,
                           proj.data() + q * gw, gw);
-    }
+    });
     const Buffer u = ConcatColumns({&p[kUr].value(), &p[kUz].value()});
     for (std::int64_t t = 0; t < time; ++t) {
       const std::int64_t s = time - 1 - t;
@@ -484,10 +522,10 @@ Variable GruSequence(const Variable& x,
       double* rh = layer.rh.data() + s * nh;
       double* h = layer.h.data() + s * nh;
       Zero(a_rz);
-      for (std::int64_t i = 0; i < n; ++i) {
+      ForEachRow(n, PanelGrain(hid, 2 * hid), [&](std::int64_t i) {
         kt.row_panel_matmul(hp + i * hid, 1, hid, u.data(), 2 * hid,
                             a_rz.data() + i * 2 * hid, 2 * hid);
-      }
+      });
       for (std::int64_t i = 0; i < n; ++i) {
         const double* pq = proj.data() + (s * n + i) * gw;
         kt.ew_add3_sigmoid(pq + kGateR * hid, a_rz.data() + i * 2 * hid, br,
@@ -497,10 +535,10 @@ Variable GruSequence(const Variable& x,
       }
       kt.ew_mul(r, hp, rh, nh);
       Zero(a_h);
-      for (std::int64_t i = 0; i < n; ++i) {
+      ForEachRow(n, PanelGrain(hid, hid), [&](std::int64_t i) {
         kt.row_panel_matmul(rh + i * hid, 1, hid, uh, hid,
                             a_h.data() + i * hid, hid);
-      }
+      });
       for (std::int64_t i = 0; i < n; ++i) {
         kt.ew_add3_tanh(proj.data() + (s * n + i) * gw + kGateH * hid,
                         a_h.data() + i * hid, bh, c + i * hid, hid);
@@ -566,15 +604,15 @@ Variable TimeDistributed::Forward(const Variable& x) const {
   // Row (i, t) of x and y are contiguous [in] / [out] runs, so one panel
   // row per (i, t) is MatMul, then AddRowBias, of each step.
   Tensor y({n, time, static_cast<int>(out)});
-  for (std::int64_t q = 0; q < rows; ++q) {
+  ForEachRow(rows, PanelGrain(in, out), [&](std::int64_t q) {
     double* yq = y.data().data() + q * out;
     kt.row_panel_matmul(x.value().data().data() + q * in, 1, in,
                         w.data().data(), out, yq, out);
     kt.ew_add_acc(b.data().data(), yq, out);
-  }
+  });
   return Variable::FromOp(
       std::move(y), {x.node(), params[0].node(), params[1].node()},
-      [n, time, in, out](Node& self) {
+      [n, time, in, out, rows](Node& self) {
         TSAUG_TRACE_SCOPE("nn.time_distributed.bwd");
         const auto& kb = core::kernels::Active();
         Node& px = *self.parents[0];
@@ -582,27 +620,34 @@ Variable TimeDistributed::Forward(const Variable& x) const {
         Node& pb = *self.parents[2];
         const double* g = self.grad.data().data();
         // Bias and weight chains: t descending, i ascending within a step.
+        // Index p owns row p of the weight gradient, as in MatMul's dB.
         for (std::int64_t t = time - 1; t >= 0; --t) {
           for (std::int64_t i = 0; i < n; ++i) {
             kb.ew_add_acc(g + (i * time + t) * out, pb.grad.data().data(),
                           out);
           }
-          for (std::int64_t p = 0; p < in; ++p) {
+        }
+        ForEachRow(in, PanelGrain(rows, out), [&](std::int64_t p) {
+          for (std::int64_t t = time - 1; t >= 0; --t) {
             kb.row_panel_matmul(px.value.data().data() + t * in + p,
                                 time * in, n, g + t * out, time * out,
                                 pw.grad.row2(static_cast<int>(p)), out);
           }
-        }
+        });
         if (!px.requires_grad) return;
-        // Each step's dA in SelectTime's zeroed gradient, then into x.
+        // Each step's dA in SelectTime's zeroed gradient, then into x; row
+        // q owns x's row q, and each chunk zeroes its own scratch.
         const Buffer w_t = StackTransposed({&pw.value});
-        Buffer dsel = Zeros(in);
-        for (std::int64_t q = 0; q < std::int64_t{n} * time; ++q) {
-          Zero(dsel);
-          kb.row_panel_matmul(g + q * out, 1, out, w_t.data(), in,
-                              dsel.data(), in);
-          kb.ew_add_acc(dsel.data(), px.grad.data().data() + q * in, in);
-        }
+        ForEachChunk(rows, PanelGrain(out, in),
+                     [&](std::int64_t lo, std::int64_t hi) {
+          Buffer dsel = Zeros(in);
+          for (std::int64_t q = lo; q < hi; ++q) {
+            Zero(dsel);
+            kb.row_panel_matmul(g + q * out, 1, out, w_t.data(), in,
+                                dsel.data(), in);
+            kb.ew_add_acc(dsel.data(), px.grad.data().data() + q * in, in);
+          }
+        });
       });
 }
 

@@ -14,6 +14,7 @@
 #include "core/kernels/kernels.h"
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "core/trace.h"
 #include "linalg/distance.h"
 #include "linalg/matrix.h"
 #include "nn/autograd.h"
@@ -394,6 +395,62 @@ TEST(BackendParity, FusedGruMatchesStepComposition) {
       }
     }
   }
+}
+
+/// Shapes wide enough that every row loop of both fused nodes exceeds its
+/// grain of 131072 / (k·m) rows and runs on the pool at 4 threads: a wide
+/// layer-0 input and head output (as for a 963-channel dataset) and a
+/// hidden size of 48, whose recurrent products split a batch of 64.
+TEST(BackendParity, FusedGruWideShapesMatchStepComposition) {
+  constexpr int kN = 64;
+  constexpr int kTime = 4;
+  constexpr int kWide = 200;
+  constexpr int kHidden = 48;
+  const nn::Tensor tx = SparseRandomTensor({kN, kTime, kWide}, 50);
+  const nn::Tensor target = RandomTensor({kN, kTime, kWide}, 51);
+  auto run = [&](const SequenceNets& nets) {
+    core::Rng rng(52);
+    nn::Gru gru(kWide, kHidden, 2, rng);
+    nn::TimeDistributed head(kHidden, kWide, rng);
+    const nn::Variable leaf(tx, /*requires_grad=*/true);
+    const nn::Variable hidden = nets.Gru(gru, leaf);
+    const nn::Variable y = nets.Head(head, hidden);
+    nn::Variable loss = nn::MseLoss(y, target);
+    loss.Backward();
+    std::vector<double> out;
+    Append(out, hidden.value());
+    Append(out, y.value());
+    Append(out, loss.value());
+    AppendGrads(out, gru);
+    AppendGrads(out, head);
+    Append(out, leaf.grad());
+    return out;
+  };
+  ExpectFusedMatchesComposed(run);
+
+  // Every row loop of the fused nodes takes the pool. Forward: per layer
+  // the input projection and two recurrent products a step, then the head.
+  // Backward: the head's weight and input loops; per layer three gate loops
+  // a step and two weight loops; layer 0's input chain, and layer 1's
+  // chain into layer 0 once a step.
+  BackendGuard guard;
+  core::SetNumThreads(4);
+  core::Rng rng(53);
+  nn::Gru gru(kWide, kHidden, 2, rng);
+  nn::TimeDistributed head(kHidden, kWide, rng);
+  const nn::Variable leaf(tx, /*requires_grad=*/true);
+  core::trace::Reset();
+  core::trace::Enable();
+  nn::Variable loss = nn::Mean(head.Forward(gru.Forward(leaf)));
+  const std::int64_t forward_regions =
+      core::trace::CounterValue("parallel.pool_regions");
+  loss.Backward();  // Mean's backward runs no ParallelFor
+  const std::int64_t backward_regions =
+      core::trace::CounterValue("parallel.pool_regions") - forward_regions;
+  core::trace::Disable();
+  core::trace::Reset();
+  EXPECT_EQ(forward_regions, 2 * (1 + 2 * kTime) + 1);
+  EXPECT_EQ(backward_regions, 2 + 2 * (3 * kTime + 2) + 1 + kTime);
 }
 
 /// TimeGAN's discriminator step: one loss applies the same Gru and head to
