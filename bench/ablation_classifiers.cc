@@ -49,7 +49,7 @@ std::vector<std::unique_ptr<tsaug::classify::Classifier>> MakeClassifiers(
 }  // namespace
 
 int main() {
-  tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  auto settings = tsaug::eval::TryReadBenchSettings().value();
   if (settings.datasets.empty()) {
     settings.datasets = {"RacketSports", "LSST", "EthanolConcentration",
                          "Heartbeat"};

@@ -8,7 +8,7 @@
 #include "eval/report.h"
 
 int main() {
-  tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  auto settings = tsaug::eval::TryReadBenchSettings().value();
   if (settings.datasets.empty()) {
     settings.datasets = {"RacketSports", "EthanolConcentration"};
   }

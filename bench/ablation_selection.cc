@@ -40,7 +40,7 @@ double ScoreWith(const tsaug::eval::ExperimentConfig& config,
 }  // namespace
 
 int main() {
-  tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  auto settings = tsaug::eval::TryReadBenchSettings().value();
   if (settings.datasets.empty()) {
     settings.datasets = {"LSST", "EthanolConcentration", "Heartbeat",
                          "RacketSports", "FingerMovements"};

@@ -14,7 +14,7 @@
 #include "eval/report.h"
 
 int main() {
-  const tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  const auto settings = tsaug::eval::TryReadBenchSettings().value();
   const tsaug::core::StatusOr<tsaug::eval::StudyResult> result =
       tsaug::eval::TryRunStudy(settings, tsaug::eval::ModelKind::kRocket);
   if (!result.ok()) {

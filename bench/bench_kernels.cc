@@ -6,7 +6,8 @@
 // tools/bench_check.py compares two such files and enforces the committed
 // baseline plus the simd-vs-scalar speedup floor.
 //
-// Usage: bench_kernels [output.json]   (default: BENCH_kernels.json)
+// Usage: bench_kernels [--json PATH]   (default: BENCH_kernels.json)
+// Any other argument exits 2 before anything runs (core/parse.h).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "classify/rocket.h"
 #include "core/kernels/kernels.h"
 #include "core/parallel.h"
+#include "core/parse.h"
 #include "core/rng.h"
 #include "linalg/distance.h"
 #include "linalg/matrix.h"
@@ -212,7 +214,13 @@ void WriteJson(const char* path, const std::vector<Entry>& entries) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_kernels.json";
+  std::string out_path = "BENCH_kernels.json";
+  const tsaug::core::Status parsed =
+      tsaug::core::ParseFlags(argc, argv, {{"--json", &out_path}});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "bench_kernels: %s\n", parsed.ToString().c_str());
+    return 2;
+  }
 
   std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
   if (kernels::SimdAvailable()) {
@@ -243,7 +251,7 @@ int main(int argc, char** argv) {
   }
   tsaug::core::SetNumThreads(1);
 
-  WriteJson(out_path, entries);
-  std::printf("wrote %s (%zu entries)\n", out_path, entries.size());
+  WriteJson(out_path.c_str(), entries);
+  std::printf("wrote %s (%zu entries)\n", out_path.c_str(), entries.size());
   return 0;
 }

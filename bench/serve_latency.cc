@@ -8,14 +8,14 @@
 // zero errors, occupancy recorded): latency magnitudes are host-dependent,
 // so unlike BENCH_kernels.json there is no committed ns baseline.
 //
-// Flags: --json PATH (default BENCH_serve.json), --connections N (32),
-// --requests N per connection (25), --max-batch N (16), --linger-ms X (2).
-// Every argument is a flag followed by its value: an unknown flag, a flag
-// without a value or a positional argument exits 2 before anything runs.
+// Flags: --json PATH (default BENCH_serve.json), --connections N in
+// [1, 128] (32), --requests N per connection (25), --max-batch N (16),
+// --linger-ms X in [0, 60000] (2). Every argument is a flag followed by
+// its value: anything else exits 2 before anything runs.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "core/parse.h"
 #include "core/status.h"
 #include "core/trace.h"
 #include "serve/loadgen.h"
@@ -53,30 +53,22 @@ int main(int argc, char** argv) {
   tsaug::serve::LoadConfig load_config;
   load_config.connections = 32;
   load_config.requests_per_connection = 25;
-  for (int i = 1; i < argc; i += 2) {
-    const std::string flag = argv[i];
-    if (i + 1 == argc) {
-      std::fprintf(stderr, "serve_latency: %s: expected --flag VALUE\n",
-                   flag.c_str());
-      return 2;
-    }
-    const std::string value = argv[i + 1];
-    if (flag == "--json") {
-      json_path = value;
-    } else if (flag == "--connections") {
-      load_config.connections = std::atoi(value.c_str());
-    } else if (flag == "--requests") {
-      load_config.requests_per_connection = std::atoi(value.c_str());
-    } else if (flag == "--max-batch") {
-      server_config.batching.max_batch = std::atoi(value.c_str());
-    } else if (flag == "--linger-ms") {
-      server_config.batching.max_linger_nanos =
-          static_cast<std::int64_t>(std::atof(value.c_str()) * 1e6);
-    } else {
-      std::fprintf(stderr, "serve_latency: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
+  double linger_ms =
+      static_cast<double>(server_config.batching.max_linger_nanos) / 1e6;
+  const tsaug::core::Status parsed = tsaug::core::ParseFlags(
+      argc, argv,
+      {{"--json", &json_path},
+       {"--connections", &load_config.connections, 1,
+        tsaug::serve::kDefaultMaxConnections},
+       {"--requests", &load_config.requests_per_connection, 0},
+       {"--max-batch", &server_config.batching.max_batch, 1},
+       {"--linger-ms", &linger_ms, 0, 60000}});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "serve_latency: %s\n", parsed.ToString().c_str());
+    return 2;
   }
+  server_config.batching.max_linger_nanos =
+      static_cast<std::int64_t>(linger_ms * 1e6);
 
   tsaug::core::trace::Enable();  // the occupancy counters feed the report
   tsaug::serve::Server server(server_config);

@@ -12,7 +12,7 @@
 #include "eval/report.h"
 
 int main() {
-  const tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  const auto settings = tsaug::eval::TryReadBenchSettings().value();
 
   std::vector<tsaug::core::DatasetProperties> measured;
   std::printf("Generating the 13 UEA-like datasets (TSAUG_SCALE preset)...\n");

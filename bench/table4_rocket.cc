@@ -20,7 +20,7 @@
 int main() {
   tsaug::core::InstallStopSignalHandlers();
   const tsaug::core::StatusOr<tsaug::eval::StudyResult> study =
-      tsaug::eval::TryRunStudy(tsaug::eval::ReadBenchSettings(),
+      tsaug::eval::TryRunStudy(tsaug::eval::TryReadBenchSettings().value(),
                                tsaug::eval::ModelKind::kRocket);
   if (!study.ok()) {
     std::fprintf(stderr, "table4_rocket: %s\n",

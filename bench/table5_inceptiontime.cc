@@ -16,7 +16,7 @@
 int main() {
   tsaug::core::InstallStopSignalHandlers();
   const tsaug::core::StatusOr<tsaug::eval::StudyResult> study =
-      tsaug::eval::TryRunStudy(tsaug::eval::ReadBenchSettings(),
+      tsaug::eval::TryRunStudy(tsaug::eval::TryReadBenchSettings().value(),
                                tsaug::eval::ModelKind::kInceptionTime);
   if (!study.ok()) {
     std::fprintf(stderr, "table5_inceptiontime: %s\n",

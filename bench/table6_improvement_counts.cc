@@ -9,7 +9,7 @@
 #include "eval/report.h"
 
 int main() {
-  const tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  const auto settings = tsaug::eval::TryReadBenchSettings().value();
   std::cerr << "Running the ROCKET grid...\n";
   const tsaug::core::StatusOr<tsaug::eval::StudyResult> rocket =
       tsaug::eval::TryRunStudy(settings, tsaug::eval::ModelKind::kRocket);

@@ -4,9 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "core/parse.h"
 #include "core/thread_annotations.h"
 
 namespace tsaug::core::fault {
@@ -57,22 +60,13 @@ std::string& ThreadDomain() {
 bool ParseRule(const std::string& entry, Rule& rule) {
   const size_t colon = entry.rfind(':');
   if (colon == std::string::npos || colon == 0) return false;
-  std::string count = entry.substr(colon + 1);
-  if (count.empty()) return false;
-  if (count.back() == '+') {
-    rule.every_after = true;
-    count.pop_back();
-    if (count.empty()) return false;
-  } else if (count.back() == '!') {
-    rule.abort_process = true;
-    count.pop_back();
-    if (count.empty()) return false;
-  }
-  for (char c : count) {
-    if (c < '0' || c > '9') return false;
-  }
-  rule.n = std::atoll(count.c_str());
-  if (rule.n < 1) return false;
+  std::string_view count = std::string_view(entry).substr(colon + 1);
+  rule.every_after = !count.empty() && count.back() == '+';
+  rule.abort_process = !count.empty() && count.back() == '!';
+  if (rule.every_after || rule.abort_process) count.remove_suffix(1);
+  const std::optional<std::int64_t> n = ParseInt<std::int64_t>(count, 1);
+  if (!n) return false;
+  rule.n = *n;
   std::string target = entry.substr(0, colon);
   const size_t at = target.find('@');
   if (at != std::string::npos) {

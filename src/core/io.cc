@@ -1,32 +1,16 @@
 #include "core/io.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
+#include "core/parse.h"
+
 namespace tsaug::core {
 namespace {
-
-bool ParseInt(const std::string& text, int* value) {
-  char* end = nullptr;
-  const long parsed = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *value = static_cast<int>(parsed);
-  return true;
-}
-
-bool ParseDouble(const std::string& text, double* value) {
-  if (text == "NaN" || text == "nan") {
-    *value = std::nan("");
-    return true;
-  }
-  char* end = nullptr;
-  *value = std::strtod(text.c_str(), &end);
-  return end != text.c_str() && *end == '\0';
-}
 
 void WriteValue(std::ostream& out, double v) {
   if (std::isnan(v)) {
@@ -93,23 +77,21 @@ bool ReadDatasetCsv(std::istream& in, Dataset* dataset) {
     std::string field;
     int values[4] = {0, 0, 0, 0};
     for (int k = 0; k < 4; ++k) {
-      if (!std::getline(fields, field, ',') || !ParseInt(field, &values[k])) {
-        return false;
-      }
+      if (!std::getline(fields, field, ',')) return false;
+      const std::optional<int> value = ParseInt<int>(field, 0);
+      if (!value) return false;
+      values[k] = *value;
     }
     if (!std::getline(fields, field, ',')) return false;
-    double sample = 0.0;
-    if (!ParseDouble(field, &sample)) return false;
-    if (values[0] < 0 || values[1] < 0 || values[2] < 0 || values[3] < 0) {
-      return false;
-    }
+    const std::optional<double> sample = ParseDouble(field);
+    if (!sample) return false;
     auto& [label, channels] = rows[values[0]];
     label = values[1];
     std::vector<double>& samples = channels[values[2]];
     if (static_cast<int>(samples.size()) <= values[3]) {
-      samples.resize(static_cast<size_t>(values[3] + 1), std::nan(""));
+      samples.resize(static_cast<size_t>(values[3]) + 1, std::nan(""));
     }
-    samples[static_cast<size_t>(values[3])] = sample;
+    samples[static_cast<size_t>(values[3])] = *sample;
   }
   for (auto& [instance, entry] : rows) {
     (void)instance;

@@ -28,7 +28,8 @@ Backend Decode(int v) { return v == 2 ? Backend::kSimd : Backend::kScalar; }
 /// forced "simd" falls back to scalar, with a stderr note, when the table
 /// is unavailable; auto-detect takes the fastest table present.
 Backend Resolve() {
-  switch (ParseBackendSpec(std::getenv("TSAUG_BACKEND"))) {
+  const char* value = std::getenv("TSAUG_BACKEND");
+  switch (ParseBackendSpec(value)) {
     case BackendSpec::kForceScalar:
       return Backend::kScalar;
     case BackendSpec::kForceSimd:
@@ -41,6 +42,9 @@ Backend Resolve() {
       }
       return Backend::kSimd;
     case BackendSpec::kAuto:
+      if (value != nullptr && *value != '\0') {
+        std::fprintf(stderr, "tsaug: ignoring TSAUG_BACKEND=\"%s\"\n", value);
+      }
       break;
   }
   return SimdKernels() != nullptr ? Backend::kSimd : Backend::kScalar;

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "core/cancel.h"
 #include "core/check.h"
+#include "core/parse.h"
 #include "core/thread_annotations.h"
 #include "core/trace.h"
 
@@ -210,10 +213,10 @@ class ThreadPool {
 int ParseNumThreads(const char* value, int fallback) {
   fallback = std::clamp(fallback, 1, kMaxThreads);
   if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || parsed < 1) return fallback;
-  return static_cast<int>(std::min<long>(parsed, kMaxThreads));
+  const std::optional<std::int64_t> n = ParseInt<std::int64_t>(value, 1);
+  if (n) return static_cast<int>(std::min<std::int64_t>(*n, kMaxThreads));
+  std::fprintf(stderr, "tsaug: ignoring TSAUG_NUM_THREADS=\"%s\"\n", value);
+  return fallback;
 }
 
 int GetNumThreads() { return ThreadPool::Instance().num_threads(); }

@@ -36,8 +36,9 @@ void SetNumThreads(int num_threads);
 /// (worker or caller); nested ParallelFor calls then run inline.
 bool InParallelRegion();
 
-/// Parses a thread-count string (as found in `TSAUG_NUM_THREADS`).
-/// Returns `fallback` for null/empty/non-numeric/non-positive values;
+/// Parses a thread-count string (as found in `TSAUG_NUM_THREADS`) with
+/// core/parse.h. Returns `fallback` for null/empty values, and with a
+/// stderr warning for malformed, non-positive or 64-bit-overflowing ones;
 /// large values are clamped to `kMaxThreads`. Exposed for tests.
 int ParseNumThreads(const char* value, int fallback);
 

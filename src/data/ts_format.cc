@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <vector>
+
+#include "core/parse.h"
 
 namespace tsaug::data {
 namespace {
@@ -29,17 +31,6 @@ std::string ToLower(std::string text) {
   std::transform(text.begin(), text.end(), text.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   return text;
-}
-
-bool ParseValue(const std::string& token, double* value) {
-  const std::string trimmed = Trim(token);
-  if (trimmed == "?" || trimmed.empty()) {
-    *value = std::nan("");
-    return true;
-  }
-  char* end = nullptr;
-  *value = std::strtod(trimmed.c_str(), &end);
-  return end != trimmed.c_str() && *end == '\0';
 }
 
 bool Fail(std::string* error, const std::string& message) {
@@ -108,12 +99,16 @@ bool ReadTsFile(std::istream& in, core::Dataset* dataset, std::string* error) {
       std::stringstream values(dim);
       std::string token;
       while (std::getline(values, token, ',')) {
-        double v = 0.0;
-        if (!ParseValue(token, &v)) {
+        // "?" (or nothing) marks a missing value.
+        const std::string value = Trim(token);
+        const std::optional<double> v = value.empty() || value == "?"
+                                            ? std::nan("")
+                                            : core::ParseDouble(value);
+        if (!v) {
           return Fail(error, "line " + std::to_string(line_number) +
                                  ": bad value '" + token + "'");
         }
-        samples.push_back(v);
+        samples.push_back(*v);
       }
       length = std::max(length, samples.size());
       channels.push_back(std::move(samples));

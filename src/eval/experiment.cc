@@ -284,14 +284,17 @@ DatasetRow RunGridAgainstJournal(
     // only (2:1 stratified split of the training set); augmentation is
     // applied to the training portion. ROCKET has no validation phase and
     // trains on the full (augmented) training set.
-    core::Dataset train_part = *train_set;
+    const bool split = config.model == ModelKind::kInceptionTime &&
+                       preflight_fatal.ok();
+    core::Dataset split_train;
     core::Dataset validation;
-    if (config.model == ModelKind::kInceptionTime && preflight_fatal.ok()) {
-      auto split = train_set->StratifiedSplit(
+    if (split) {
+      auto parts = train_set->StratifiedSplit(
           1.0 - config.inception.validation_fraction, rng);
-      train_part = std::move(split.first);
-      validation = std::move(split.second);
+      split_train = std::move(parts.first);
+      validation = std::move(parts.second);
     }
+    const core::Dataset& train_part = split ? split_train : *train_set;
 
     // Fault-point domains, one per cell: hit counters are keyed per
     // (rule, domain), so a spec like "ridge.solve@run0/smote:1" targets
@@ -337,8 +340,9 @@ DatasetRow RunGridAgainstJournal(
     // failed here and skipped by the evaluation phase; the grid goes on.
     // `cell_done[c]` records that cell c's outcome was actually computed
     // (as opposed to never claimed before an interruption) — only done
-    // cells are journaled.
-    std::vector<core::Dataset> cell_train;
+    // cells are journaled. Only cells that will train on augmented data
+    // hold a dataset; the baseline reads train_part.
+    std::vector<core::Dataset> augmented_train(num_cells);
     std::vector<core::Status> cell_status(num_cells);
     std::vector<char> cell_done(num_cells, 0);
     // Replay mode (config.resume_only): every owned cell must come from
@@ -364,12 +368,9 @@ DatasetRow RunGridAgainstJournal(
         cell_done[c] = 1;
       }
     }
-    cell_train.reserve(num_cells);
-    cell_train.push_back(train_part);  // cell 0 = baseline
     for (size_t i = 0; i < techniques.size(); ++i) {
       if (owned[i + 1] == 0 || !cell_status[i + 1].ok() ||
           resumed[i + 1] != nullptr) {
-        cell_train.push_back(train_part);  // placeholder, never trained on
         continue;
       }
       augment::Augmenter& technique = *techniques[i];
@@ -388,7 +389,6 @@ DatasetRow RunGridAgainstJournal(
       if (!start.ok()) {
         cell_status[i + 1] = start;
         cell_done[i + 1] = 1;
-        cell_train.push_back(train_part);
         continue;
       }
       core::Rng aug_rng(run_seed ^ (0xabcdull + i));
@@ -405,11 +405,10 @@ DatasetRow RunGridAgainstJournal(
                                             aug_rng);
       }
       if (augmented.ok()) {
-        cell_train.push_back(std::move(augmented).value());
+        augmented_train[i + 1] = std::move(augmented).value();
       } else {
         cell_status[i + 1] = augmented.status();
         cell_done[i + 1] = 1;
-        cell_train.push_back(train_part);  // placeholder, never trained on
       }
     }
 
@@ -456,7 +455,8 @@ DatasetRow RunGridAgainstJournal(
               continue;
             }
             core::StatusOr<ScoreOutcome> outcome = TryTrainAndScore(
-                config, cell_train[c], validation, *test_set, run_seed);
+                config, c == 0 ? train_part : augmented_train[c], validation,
+                *test_set, run_seed);
             if (outcome.ok()) {
               scores[c] = outcome.value().accuracy;
               retries[c] = outcome.value().retries;

@@ -1,11 +1,13 @@
 #include "eval/journal.h"
 
 #include <array>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "core/faultpoint.h"
+#include "core/parse.h"
 
 namespace tsaug::eval {
 namespace {
@@ -45,13 +47,6 @@ std::string EscapeJson(const std::string& text) {
   return out;
 }
 
-int HexValue(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return 10 + (c - 'a');
-  if (c >= 'A' && c <= 'F') return 10 + (c - 'A');
-  return -1;
-}
-
 /// Extracts the string value of `"key":"..."` from a body object. The
 /// pattern contains raw quotes, which escaping keeps out of values, so a
 /// match is always a real key. Returns false on missing key or malformed
@@ -83,15 +78,11 @@ bool ExtractString(const std::string& body, const std::string& key,
           out += '\t';
           break;
         case 'u': {
-          if (pos + 5 >= body.size()) return false;
-          int code = 0;
-          for (int i = 2; i <= 5; ++i) {
-            const int digit = HexValue(body[pos + static_cast<size_t>(i)]);
-            if (digit < 0) return false;
-            code = code * 16 + digit;
-          }
-          if (code > 0xff) return false;  // the writer only emits \u00XX
-          out += static_cast<char>(code);
+          // The writer only emits \u00XX.
+          const std::optional<unsigned> code = core::ParseInt<unsigned>(
+              std::string_view(body).substr(pos + 2, 4), 0, 0xff, 16);
+          if (pos + 5 >= body.size() || !code) return false;
+          out += static_cast<char>(*code);
           pos += 4;
           break;
         }
@@ -107,27 +98,22 @@ bool ExtractString(const std::string& body, const std::string& key,
   return false;  // unterminated string
 }
 
-bool ExtractInt(const std::string& body, const std::string& key,
-                long long& out) {
+/// Extracts the decimal value of `"key":<number>` from a body object; false
+/// when the key is missing or the number is malformed or outside Int.
+template <typename Int>
+bool ExtractNumber(const std::string& body, const std::string& key,
+                   Int& out) {
   const std::string pattern = "\"" + key + "\":";
   const size_t pos = body.find(pattern);
   if (pos == std::string::npos) return false;
-  const char* start = body.c_str() + pos + pattern.size();
-  char* end = nullptr;
-  out = std::strtoll(start, &end, 10);
-  return end != start && (*end == ',' || *end == '}');
-}
-
-bool ExtractUint(const std::string& body, const std::string& key,
-                 unsigned long long& out) {
-  const std::string pattern = "\"" + key + "\":";
-  const size_t pos = body.find(pattern);
-  if (pos == std::string::npos) return false;
-  const char* start = body.c_str() + pos + pattern.size();
-  if (*start == '-') return false;
-  char* end = nullptr;
-  out = std::strtoull(start, &end, 10);
-  return end != start && (*end == ',' || *end == '}');
+  const size_t start = pos + pattern.size();
+  const size_t end = body.find_first_of(",}", start);
+  if (end == std::string::npos) return false;
+  const std::optional<Int> value = core::ParseInt<Int>(
+      std::string_view(body).substr(start, end - start));
+  if (!value) return false;
+  out = *value;
+  return true;
 }
 
 bool StatusCodeFromName(const std::string& name, core::StatusCode& code) {
@@ -173,13 +159,12 @@ bool DecodeLine(const std::string& line, std::string& body) {
   if (line.compare(0, kPrefixLen, kPrefix) != 0) return false;
   if (line.compare(kPrefixLen + 8, kMidLen, kMid) != 0) return false;
   if (line.back() != '}') return false;
-  const std::string crc_hex = line.substr(kPrefixLen, 8);
-  char* end = nullptr;
-  const unsigned long recorded = std::strtoul(crc_hex.c_str(), &end, 16);
-  if (end != crc_hex.c_str() + 8) return false;
+  const std::optional<std::uint32_t> recorded = core::ParseInt<std::uint32_t>(
+      std::string_view(line).substr(kPrefixLen, 8), 0, UINT32_MAX, 16);
+  if (!recorded) return false;
   const size_t body_start = kPrefixLen + 8 + kMidLen;
   body = line.substr(body_start, line.size() - 1 - body_start);
-  return static_cast<std::uint32_t>(recorded) == Crc32(body);
+  return *recorded == Crc32(body);
 }
 
 std::string HeaderBody(const std::string& fingerprint) {
@@ -207,24 +192,19 @@ std::string CellBody(const JournalCell& cell) {
 /// score is a human-readable convenience), so means computed from resumed
 /// cells match the uninterrupted run bit for bit.
 bool ParseCell(const std::string& body, JournalCell& cell) {
-  long long run = 0, index = 0, retries = 0;
-  unsigned long long bits = 0;
+  std::uint64_t bits = 0;
   std::string code_name, context;
   if (!ExtractString(body, "dataset", cell.dataset)) return false;
-  if (!ExtractInt(body, "run", run)) return false;
-  if (!ExtractInt(body, "cell", index)) return false;
+  if (!ExtractNumber(body, "run", cell.run)) return false;
+  if (!ExtractNumber(body, "cell", cell.cell)) return false;
   if (!ExtractString(body, "name", cell.name)) return false;
-  if (!ExtractUint(body, "score_bits", bits)) return false;
-  if (!ExtractInt(body, "retries", retries)) return false;
+  if (!ExtractNumber(body, "score_bits", bits)) return false;
+  if (!ExtractNumber(body, "retries", cell.retries)) return false;
   if (!ExtractString(body, "code", code_name)) return false;
   if (!ExtractString(body, "context", context)) return false;
   core::StatusCode code = core::StatusCode::kOk;
   if (!StatusCodeFromName(code_name, code)) return false;
-  cell.run = static_cast<int>(run);
-  cell.cell = static_cast<int>(index);
-  cell.retries = static_cast<int>(retries);
-  const std::uint64_t fixed_bits = bits;
-  std::memcpy(&cell.score, &fixed_bits, sizeof(cell.score));
+  std::memcpy(&cell.score, &bits, sizeof(cell.score));
   cell.status = core::Status(code, std::move(context));
   return true;
 }

@@ -1,14 +1,15 @@
 #include "eval/report.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "augment/pipeline.h"
+#include "core/parse.h"
 #include "data/scenarios.h"
 #include "data/uea_catalog.h"
 
@@ -178,59 +179,61 @@ void PrintImprovementCounts(const StudyResult& rocket,
 
 namespace {
 
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' ? std::atoi(value) : fallback;
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' ? std::atof(value) : fallback;
+std::vector<std::string> SplitNames(std::string_view names) {
+  std::vector<std::string> out;
+  while (!names.empty()) {
+    const std::size_t comma = std::min(names.find(','), names.size());
+    if (comma > 0) out.emplace_back(names.substr(0, comma));
+    names.remove_prefix(std::min(comma + 1, names.size()));
+  }
+  return out;
 }
 
 }  // namespace
 
-BenchSettings ReadBenchSettings() {
+core::StatusOr<BenchSettings> TryReadBenchSettings(
+    const std::function<const char*(const char*)>& lookup) {
+  const auto get = [&lookup](const char* name) -> std::string_view {
+    const char* value = lookup(name);
+    return value != nullptr ? value : "";
+  };
   BenchSettings settings;
-  if (const char* scale = std::getenv("TSAUG_SCALE"); scale != nullptr) {
-    if (std::strcmp(scale, "paper") == 0) {
-      settings.scale = data::ScalePreset::kPaper;
-      settings.runs = 5;
-      settings.rocket_kernels = 10000;
-      settings.inception_epochs = 200;
-      settings.timegan_iterations = 2500;
-    } else if (std::strcmp(scale, "small") == 0) {
-      settings.scale = data::ScalePreset::kSmall;
-      settings.rocket_kernels = 1000;
-      settings.inception_epochs = 30;
-      settings.timegan_iterations = 120;
+  const std::string_view scale = get("TSAUG_SCALE");
+  if (scale == "paper") {
+    settings.scale = data::ScalePreset::kPaper;
+    settings.runs = 5;
+    settings.rocket_kernels = 10000;
+    settings.inception_epochs = 200;
+    settings.timegan_iterations = 2500;
+  } else if (scale == "small") {
+    settings.scale = data::ScalePreset::kSmall;
+    settings.rocket_kernels = 1000;
+    settings.inception_epochs = 30;
+    settings.timegan_iterations = 120;
+  } else if (!scale.empty() && scale != "tiny") {
+    return core::InvalidArgumentError(
+        "TSAUG_SCALE expects tiny, small or paper, got '" +
+        std::string(scale) + "'");
+  }
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  const core::Flag knobs[] = {
+      {"TSAUG_RUNS", &settings.runs, 1, kMaxInt},
+      {"TSAUG_KERNELS", &settings.rocket_kernels, 1, kMaxInt},
+      {"TSAUG_EPOCHS", &settings.inception_epochs, 1, kMaxInt},
+      // MakePaperTechniques doubles the TimeGAN cap in int.
+      {"TSAUG_TIMEGAN_ITERS", &settings.timegan_iterations, 1, kMaxInt / 2},
+      {"TSAUG_SEED", &settings.seed},
+      {"TSAUG_JOURNAL", &settings.journal_path},
+      // The deadline is kept in int64 nanoseconds (core/cancel.h).
+      {"TSAUG_CELL_BUDGET", &settings.cell_budget_seconds, 0, 1e9},
+  };
+  for (const core::Flag& knob : knobs) {
+    if (!get(knob.name).empty()) {
+      TSAUG_RETURN_IF_ERROR(core::ParseFlagValue(knob, get(knob.name)));
     }
   }
-  settings.runs = EnvInt("TSAUG_RUNS", settings.runs);
-  settings.rocket_kernels = EnvInt("TSAUG_KERNELS", settings.rocket_kernels);
-  settings.inception_epochs = EnvInt("TSAUG_EPOCHS", settings.inception_epochs);
-  settings.timegan_iterations =
-      EnvInt("TSAUG_TIMEGAN_ITERS", settings.timegan_iterations);
-  settings.seed = static_cast<size_t>(EnvInt("TSAUG_SEED", 42));
-  if (const char* journal = std::getenv("TSAUG_JOURNAL");
-      journal != nullptr && *journal != '\0') {
-    settings.journal_path = journal;
-  }
-  settings.cell_budget_seconds = EnvDouble("TSAUG_CELL_BUDGET", 0.0);
-  if (const char* names = std::getenv("TSAUG_DATASETS"); names != nullptr) {
-    std::stringstream stream(names);
-    std::string name;
-    while (std::getline(stream, name, ',')) {
-      if (!name.empty()) settings.datasets.push_back(name);
-    }
-  }
-  if (const char* names = std::getenv("TSAUG_TECHNIQUES"); names != nullptr) {
-    std::stringstream stream(names);
-    std::string name;
-    while (std::getline(stream, name, ',')) {
-      if (!name.empty()) settings.techniques.push_back(name);
-    }
-  }
+  settings.datasets = SplitNames(get("TSAUG_DATASETS"));
+  settings.techniques = SplitNames(get("TSAUG_TECHNIQUES"));
   return settings;
 }
 
@@ -285,28 +288,11 @@ std::vector<std::shared_ptr<augment::Augmenter>> MakePaperTechniques(
   // TSAUG_TECHNIQUES filter, preserving the paper's technique order (the
   // order is part of the config fingerprint, so every process of a
   // sharded run must derive the same list from the same environment).
-  std::vector<std::shared_ptr<augment::Augmenter>> selected;
-  for (const auto& technique : all) {
-    for (const std::string& wanted : settings.techniques) {
-      if (technique->name() == wanted) {
-        selected.push_back(technique);
-        break;
-      }
-    }
-  }
-  for (const std::string& wanted : settings.techniques) {
-    bool known = false;
-    for (const auto& technique : all) {
-      if (technique->name() == wanted) known = true;
-    }
-    if (!known) {
-      std::fprintf(stderr,
-                   "tsaug: TSAUG_TECHNIQUES entry \"%s\" matches no paper "
-                   "technique; ignored\n",
-                   wanted.c_str());
-    }
-  }
-  return selected;
+  std::erase_if(all, [&settings](const auto& technique) {
+    return std::find(settings.techniques.begin(), settings.techniques.end(),
+                     technique->name()) == settings.techniques.end();
+  });
+  return all;
 }
 
 namespace {
@@ -396,6 +382,15 @@ core::StatusOr<StudyPlan> TryPlanStudy(const BenchSettings& settings,
   plan.config = MakeExperimentConfig(settings, model);
   plan.config.dataset_suite = suite->dataset_suite;
   plan.techniques = MakePaperTechniques(settings);
+  for (const std::string& wanted : settings.techniques) {
+    if (std::none_of(plan.techniques.begin(), plan.techniques.end(),
+                     [&](const auto& t) { return t->name() == wanted; })) {
+      return core::InvalidArgumentError(
+          "unknown technique '" + wanted +
+          "' in TSAUG_TECHNIQUES (expected noise_1.0, noise_3.0, noise_5.0, "
+          "smote or timegan)");
+    }
+  }
   return plan;
 }
 

@@ -1,6 +1,8 @@
 #ifndef TSAUG_EVAL_REPORT_H_
 #define TSAUG_EVAL_REPORT_H_
 
+#include <cstdlib>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -30,19 +32,21 @@ void PrintImprovementCounts(const StudyResult& rocket,
                             const StudyResult& inception, std::ostream& out);
 
 /// Environment-variable knobs shared by the table benches so `bench/*`
-/// stays tractable on one core but can be dialed up to paper scale:
+/// stays tractable on one core but can be dialed up to paper scale
+/// (counts are at least 1; an empty variable counts as unset):
 ///   TSAUG_SCALE        tiny|small|paper   (default tiny)
 ///   TSAUG_RUNS         runs per cell      (default 2; paper 5)
 ///   TSAUG_KERNELS      ROCKET kernels     (default 500; paper 10000)
 ///   TSAUG_EPOCHS       InceptionTime max epochs (default 40; paper 200)
-///   TSAUG_TIMEGAN_ITERS  per-phase cap    (default 60; paper 2500)
+///   TSAUG_TIMEGAN_ITERS  per-phase cap < 2^30 (default 60; paper 2500)
+///   TSAUG_SEED         unsigned 64-bit seed (default 42)
 ///   TSAUG_DATASETS     comma-separated subset of the suite's datasets
 ///                      (Table III names; scenario ids for the stress suite)
 ///   TSAUG_TECHNIQUES   comma-separated subset of the paper's technique
 ///                      names (noise_1.0, noise_3.0, noise_5.0, smote,
 ///                      timegan); empty/unset = all five
 ///   TSAUG_JOURNAL      cell journal path (default off; see eval/journal.h)
-///   TSAUG_CELL_BUDGET  per-cell wall budget in seconds (default off)
+///   TSAUG_CELL_BUDGET  per-cell wall budget in [0, 1e9] s (default off)
 /// These variables are the only way to shape a grid: the flags of
 /// tools/grid_main choose the suite, model and process layout only.
 struct BenchSettings {
@@ -58,14 +62,18 @@ struct BenchSettings {
   double cell_budget_seconds = 0.0;  // 0 = no per-cell deadline
 };
 
-/// Reads the TSAUG_* environment variables.
-BenchSettings ReadBenchSettings();
+/// Reads the TSAUG_* variables through `lookup` (default: the process
+/// environment). InvalidArgument naming the variable and value for an
+/// unknown scale or a malformed or out-of-range number.
+[[nodiscard]] core::StatusOr<BenchSettings> TryReadBenchSettings(
+    const std::function<const char*(const char*)>& lookup = std::getenv);
 
 /// The experiment configuration for a table bench under these settings.
 ExperimentConfig MakeExperimentConfig(const BenchSettings& settings,
                                       ModelKind model);
 
-/// The paper's five techniques sized to these settings.
+/// The paper's five techniques sized to these settings, kept to
+/// settings.techniques (in paper order) when that is not empty.
 std::vector<std::shared_ptr<augment::Augmenter>> MakePaperTechniques(
     const BenchSettings& settings);
 
@@ -99,8 +107,8 @@ struct StudyPlan {
 
 /// Plans the study of `suite` under `settings`: settings.datasets (the
 /// whole catalog when empty), the suite's loader, the model config and the
-/// paper techniques. InvalidArgument for an unknown suite, a dataset name
-/// the suite does not have, or a model the suite does not support.
+/// paper techniques. InvalidArgument for an unknown suite, a dataset or
+/// technique name the suite does not have, or a model it does not support.
 [[nodiscard]] core::StatusOr<StudyPlan> TryPlanStudy(
     const BenchSettings& settings, ModelKind model,
     const std::string& suite = "paper");

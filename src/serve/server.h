@@ -14,6 +14,9 @@
 
 namespace tsaug::serve {
 
+/// Default max_connections; also bounds loadgen's per-connection threads.
+inline constexpr int kDefaultMaxConnections = 128;
+
 struct ServerConfig {
   /// Loopback only by default: this is an experiment-harness service, not
   /// an internet-facing one.
@@ -22,7 +25,7 @@ struct ServerConfig {
   int port = 0;
   /// Accepted connections beyond this are closed immediately (admission
   /// control at the socket layer, before any frame is read).
-  int max_connections = 128;
+  int max_connections = kDefaultMaxConnections;
   /// A connection idle (no bytes received, no request in flight) for this
   /// long is closed, so a stalled client cannot pin a handler slot under
   /// max_connections forever. 0 disables the timeout. A request being

@@ -3,11 +3,15 @@
 // counting and the disabled-by-default zero-cost path. Each test installs
 // its spec via SetSpec (which resets all counters) and clears it on exit
 // so tests stay order-independent.
+#include <cstdint>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/faultpoint.h"
+#include "core/parse.h"
+#include "core/rng.h"
 #include "core/status.h"
 
 namespace tsaug::core::fault {
@@ -123,6 +127,55 @@ TEST(FaultPoint, MalformedRulesAreSkippedNotFatal) {
   EXPECT_TRUE(ShouldFail("ridge.solve"));
   EXPECT_FALSE(ShouldFail("x"));
   EXPECT_FALSE(ShouldFail("y"));
+}
+
+TEST(FaultPoint, OverflowingCountIsMalformed) {
+  // A count beyond int64 is a typo, not a rule that can never fire.
+  SpecGuard guard("p:99999999999999999999,q:99999999999999999999+");
+  EXPECT_FALSE(Enabled());
+}
+
+TEST(FaultPoint, FuzzedSpecsInstallExactlyTheWellFormedRules) {
+  // Each spec is one rule built from parts whose validity is known, or a
+  // string of random rule characters. The "!" abort action is only ever
+  // in random strings, whose point names cannot spell "unhit".
+  const std::string points[] = {"p", "q", "", "p@run1"};
+  const std::string counts[] = {"1", "2", "3", "0", "-1", "", "1x", "01",
+                                "9223372036854775807",
+                                "9223372036854775808",
+                                "99999999999999999999"};
+  const std::string suffixes[] = {"", "+"};
+  const std::string random_chars = "pq@:,+!-019 ";
+  Rng rng(2026);
+  for (int iter = 0; iter < 2000; ++iter) {
+    if (rng.Bernoulli(0.25)) {
+      std::string spec;
+      const int len = rng.Int(0, 16);
+      for (int i = 0; i < len; ++i) {
+        spec += random_chars[static_cast<size_t>(
+            rng.Index(static_cast<int>(random_chars.size())))];
+      }
+      SetSpec(spec);
+      ASSERT_FALSE(ShouldFail("unhit")) << spec;
+      continue;
+    }
+    const std::string& point = points[rng.Index(4)];
+    const std::string& count = counts[rng.Index(11)];
+    const std::string& suffix = suffixes[rng.Index(2)];
+    SetSpec(point + ":" + count + suffix);
+    const std::optional<std::int64_t> n =
+        ParseInt<std::int64_t>(count, 1);
+    const bool valid = !point.empty() && n.has_value();
+    ASSERT_EQ(Enabled(), valid) << point << ":" << count << suffix;
+    if (!valid || point != "p" || *n > 3) continue;
+    // An undomained rule fires on exactly its Nth hit (and after, with +).
+    for (std::int64_t hit = 1; hit <= 4; ++hit) {
+      const bool fires = hit == *n || (suffix == "+" && hit > *n);
+      ASSERT_EQ(ShouldFail("p"), fires)
+          << point << ":" << count << suffix << " hit " << hit;
+    }
+  }
+  Clear();
 }
 
 TEST(FaultPoint, AllMalformedSpecDisables) {

@@ -55,6 +55,17 @@ TEST(DatasetCsv, RejectsGarbage) {
   EXPECT_FALSE(ReadDatasetCsv(buffer, &loaded));
 }
 
+TEST(DatasetCsv, RejectsFieldsOutsideInt) {
+  // 99999999999 does not fit an int label; it must not wrap to one.
+  for (const char* row : {"0,99999999999,0,0,1.5", "0,0,0,2147483648,1.5",
+                          "0,-1,0,0,1.5", "0,+1,0,0,1.5", "0,1,0,0,1.5x"}) {
+    std::stringstream buffer(std::string("instance,label,channel,t,value\n") +
+                             row + "\n");
+    Dataset loaded;
+    EXPECT_FALSE(ReadDatasetCsv(buffer, &loaded)) << row;
+  }
+}
+
 TEST(DatasetCsv, FileRoundTrip) {
   Dataset data;
   data.Add(TimeSeries::FromChannels({{9, 8, 7}}), 0);

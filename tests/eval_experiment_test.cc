@@ -1,13 +1,18 @@
 #include "eval/experiment.h"
 
+#include <climits>
 #include <cmath>
+#include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "augment/noise.h"
 #include "augment/oversample.h"
+#include "core/parse.h"
+#include "core/rng.h"
 #include "data/scenarios.h"
 #include "data/uea_catalog.h"
 #include "eval/report.h"
@@ -314,7 +319,7 @@ TEST(BenchSettings, DefaultsAreTiny) {
   unsetenv("TSAUG_SCALE");
   unsetenv("TSAUG_RUNS");
   unsetenv("TSAUG_KERNELS");
-  const BenchSettings settings = ReadBenchSettings();
+  const BenchSettings settings = TryReadBenchSettings().value();
   EXPECT_EQ(settings.scale, data::ScalePreset::kTiny);
   EXPECT_EQ(settings.runs, 2);
   EXPECT_EQ(settings.rocket_kernels, 500);
@@ -325,7 +330,7 @@ TEST(BenchSettings, EnvOverrides) {
   setenv("TSAUG_SCALE", "paper", 1);
   setenv("TSAUG_RUNS", "3", 1);
   setenv("TSAUG_DATASETS", "Heartbeat,LSST", 1);
-  const BenchSettings settings = ReadBenchSettings();
+  const BenchSettings settings = TryReadBenchSettings().value();
   EXPECT_EQ(settings.scale, data::ScalePreset::kPaper);
   EXPECT_EQ(settings.runs, 3);
   EXPECT_EQ(settings.rocket_kernels, 10000);
@@ -353,15 +358,132 @@ TEST(MakeExperimentConfig, PaperScaleKeepsPaperArchitecture) {
 TEST(BenchSettings, JournalAndBudgetComeFromEnvironment) {
   setenv("TSAUG_JOURNAL", "/tmp/study.jsonl", 1);
   setenv("TSAUG_CELL_BUDGET", "2.5", 1);
-  const BenchSettings settings = ReadBenchSettings();
+  const BenchSettings settings = TryReadBenchSettings().value();
   EXPECT_EQ(settings.journal_path, "/tmp/study.jsonl");
   EXPECT_DOUBLE_EQ(settings.cell_budget_seconds, 2.5);
   unsetenv("TSAUG_JOURNAL");
   unsetenv("TSAUG_CELL_BUDGET");
 
-  const BenchSettings defaults = ReadBenchSettings();
+  const BenchSettings defaults = TryReadBenchSettings().value();
   EXPECT_TRUE(defaults.journal_path.empty());
   EXPECT_DOUBLE_EQ(defaults.cell_budget_seconds, 0.0);
+}
+
+using Env = std::map<std::string, std::string>;
+
+/// TryReadBenchSettings over a synthetic environment.
+core::StatusOr<BenchSettings> ReadFrom(const Env& env) {
+  return TryReadBenchSettings([&env](const char* name) -> const char* {
+    const auto it = env.find(name);
+    return it != env.end() ? it->second.c_str() : nullptr;
+  });
+}
+
+TEST(BenchSettings, MalformedKnobsNameTheVariableAndValue) {
+  // The whole 64-bit seed, not a truncated int.
+  EXPECT_EQ(ReadFrom({{"TSAUG_SEED", "4294967338"}}).value().seed,
+            4294967338u);
+  const std::pair<std::string, std::string> bad[] = {
+      {"TSAUG_SCALE", "Paper"},        {"TSAUG_SEED", "-1"},
+      {"TSAUG_SEED", "42x"},           {"TSAUG_RUNS", "0"},
+      {"TSAUG_RUNS", "3 "},            {"TSAUG_KERNELS", "1e4"},
+      {"TSAUG_EPOCHS", "99999999999"}, {"TSAUG_TIMEGAN_ITERS", "1073741824"},
+      {"TSAUG_CELL_BUDGET", "nan"},    {"TSAUG_CELL_BUDGET", "-1"},
+  };
+  for (const auto& [name, value] : bad) {
+    const core::Status status = ReadFrom({{name, value}}).status();
+    EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument)
+        << name << "=" << value;
+    EXPECT_NE(status.context().find(name), std::string::npos);
+    EXPECT_NE(status.context().find("'" + value + "'"), std::string::npos)
+        << status.ToString();
+  }
+  // An empty variable counts as unset.
+  const BenchSettings empty =
+      ReadFrom({{"TSAUG_SCALE", ""}, {"TSAUG_RUNS", ""}}).value();
+  EXPECT_EQ(empty.scale, data::ScalePreset::kTiny);
+  EXPECT_EQ(empty.runs, 2);
+}
+
+TEST(BenchSettings, FuzzedEnvironmentsParseOrFailTyped) {
+  const std::vector<std::string> names = {
+      "TSAUG_SCALE",       "TSAUG_RUNS",     "TSAUG_KERNELS",
+      "TSAUG_EPOCHS",      "TSAUG_TIMEGAN_ITERS", "TSAUG_SEED",
+      "TSAUG_CELL_BUDGET", "TSAUG_DATASETS", "TSAUG_TECHNIQUES",
+      "TSAUG_JOURNAL"};
+  const std::vector<std::string> values = {
+      "",      "0",    "1",     "3",    "-1",   "tiny",
+      "small", "paper", "Paper", "2.5",  "1e9",  "1e10",
+      "nan",   "x",    "4294967338",    "99999999999999999999",
+      "18446744073709551615", "Heartbeat,,LSST", ",", "1073741824"};
+  core::Rng rng(15);
+  int ok = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    Env env;
+    const int n = rng.Int(0, 4);
+    for (int i = 0; i < n; ++i) env[rng.Choice(names)] = rng.Choice(values);
+
+    const core::StatusOr<BenchSettings> read = ReadFrom(env);
+    if (!read.ok()) {
+      ASSERT_EQ(read.status().code(), core::StatusCode::kInvalidArgument);
+      bool named = false;
+      for (const auto& [name, value] : env) {
+        const std::string& context = read.status().context();
+        named = named || (context.find(name) != std::string::npos &&
+                          context.find("'" + value + "'") != std::string::npos);
+      }
+      EXPECT_TRUE(named) << read.status().ToString();
+      continue;
+    }
+    ++ok;
+    const BenchSettings& s = *read;
+    EXPECT_GE(s.runs, 1);
+    EXPECT_GE(s.rocket_kernels, 1);
+    EXPECT_GE(s.inception_epochs, 1);
+    EXPECT_GE(s.timegan_iterations, 1);
+    EXPECT_LE(s.timegan_iterations, INT_MAX / 2);
+    EXPECT_TRUE(s.cell_budget_seconds >= 0.0 && s.cell_budget_seconds <= 1e9);
+    // Every numeric knob that is set holds exactly the value it spells.
+    const auto set = [&env](const char* name) -> const std::string* {
+      const auto it = env.find(name);
+      return it != env.end() && !it->second.empty() ? &it->second : nullptr;
+    };
+    if (const std::string* v = set("TSAUG_RUNS")) {
+      EXPECT_EQ(s.runs, core::ParseInt<int>(*v).value());
+    }
+    if (const std::string* v = set("TSAUG_KERNELS")) {
+      EXPECT_EQ(s.rocket_kernels, core::ParseInt<int>(*v).value());
+    }
+    if (const std::string* v = set("TSAUG_SEED")) {
+      EXPECT_EQ(s.seed, core::ParseInt<std::uint64_t>(*v).value());
+    }
+    if (const std::string* v = set("TSAUG_CELL_BUDGET")) {
+      EXPECT_EQ(s.cell_budget_seconds, core::ParseDouble(*v).value());
+    }
+    if (const std::string* v = set("TSAUG_JOURNAL")) {
+      EXPECT_EQ(s.journal_path, *v);
+    }
+    for (const std::string& name : s.datasets) EXPECT_FALSE(name.empty());
+  }
+  EXPECT_GT(ok, 50);
+}
+
+TEST(TryPlanStudy, UnknownTechniqueIsInvalidArgument) {
+  BenchSettings settings;
+  settings.techniques = {"smote", "Smote"};
+  const core::StatusOr<StudyPlan> typo =
+      TryPlanStudy(settings, ModelKind::kRocket);
+  EXPECT_EQ(typo.status().code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(typo.status().ToString().find("'Smote'"), std::string::npos);
+
+  // Known names select techniques in the paper's order.
+  settings.techniques = {"timegan", "noise_1.0"};
+  const core::StatusOr<StudyPlan> plan =
+      TryPlanStudy(settings, ModelKind::kRocket);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->techniques.size(), 2u);
+  EXPECT_EQ(plan->techniques[0]->name(), "noise_1.0");
+  EXPECT_EQ(plan->techniques[1]->name(), "timegan");
 }
 
 TEST(TryPlanStudy, PaperSuiteDefaultsToTheWholeCatalog) {

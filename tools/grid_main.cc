@@ -20,7 +20,8 @@
 //   --hang-timeout-ms H  journal-heartbeat hang kill, 0 = off  (0)
 //   --poll-ms P          supervisor poll interval              (20)
 //   --trace-json PATH    enable tracing; write the report at exit
-// Numeric values must be non-negative decimal integers.
+// Numeric values (--shards, --attempt too) are decimal integers in
+// [0, 2147483647]. Any unknown, valueless or malformed flag exits 2.
 //
 // The suites (eval/report.h) are the paper's 13 UEA-like datasets and
 // the stress-scenario catalog of data/scenarios.h. The grid itself
@@ -33,17 +34,15 @@
 // scenarios that cannot train surface as failed cells in the report, they
 // do not sink the run); 1 = supervisor/infrastructure error; 2 = usage or
 // worker error; 3 = interrupted.
-#include <cerrno>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cancel.h"
+#include "core/parse.h"
 #include "core/status.h"
 #include "core/trace.h"
 #include "eval/journal.h"
@@ -58,28 +57,6 @@ using tsaug::eval::StudyResult;
 int Fail(int code, const std::string& message) {
   std::fprintf(stderr, "grid_main: %s\n", message.c_str());
   return code;
-}
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: grid_main --shards N --journal-dir DIR --out PATH "
-               "[...]\n"
-               "       grid_main --shards 0 --out PATH   (unsharded golden "
-               "run)\n"
-               "       grid_main --list                  (print the catalog)\n"
-               "see the header comment in tools/grid_main.cc\n");
-  return 2;
-}
-
-// A non-negative decimal int; rejects signs, junk and overflow.
-bool ParseCount(const std::string& text, int& out) {
-  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (errno != 0 || *end != '\0' || value > INT_MAX) return false;
-  out = static_cast<int>(value);
-  return true;
 }
 
 bool WriteFile(const std::string& path, const std::string& text) {
@@ -108,8 +85,6 @@ int WriteOutputs(const tsaug::core::StatusOr<StudyResult>& study,
 int main(int argc, char** argv) {
   bool worker = false;
   bool list = false;
-  int shard_index = 0;
-  int worker_shard_count = 0;
   int attempt = 1;
   int shards = -1;
   std::string worker_journal;
@@ -121,44 +96,21 @@ int main(int argc, char** argv) {
   std::string shard_spec;
   tsaug::eval::SupervisorOptions options;
 
-  const std::map<std::string, std::string*> text_flags = {
-      {"--journal", &worker_journal}, {"--journal-dir", &journal_dir},
-      {"--out", &out_path},           {"--trace-json", &trace_json},
-      {"--model", &model_name},       {"--suite", &suite_name},
-      {"--shard", &shard_spec}};
-  const std::map<std::string, int*> count_flags = {
-      {"--shards", &shards},
-      {"--attempt", &attempt},
-      {"--max-retries", &options.max_retries},
-      {"--backoff-ms", &options.backoff_initial_ms},
-      {"--backoff-max-ms", &options.backoff_max_ms},
-      {"--hang-timeout-ms", &options.hang_timeout_ms},
-      {"--poll-ms", &options.poll_interval_ms}};
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--worker") {
-      worker = true;
-      continue;
-    }
-    if (flag == "--list") {
-      list = true;
-      continue;
-    }
-    const auto text = text_flags.find(flag);
-    const auto count = count_flags.find(flag);
-    if (text == text_flags.end() && count == count_flags.end()) {
-      std::fprintf(stderr, "grid_main: unknown flag %s\n", flag.c_str());
-      return Usage();
-    }
-    if (i + 1 >= argc) return Usage();
-    const std::string value = argv[++i];
-    if (text != text_flags.end()) {
-      *text->second = value;
-    } else if (!ParseCount(value, *count->second)) {
-      return Fail(2, flag + " expects a non-negative integer, got '" + value +
-                         "'");
-    }
-  }
+  const tsaug::core::Status parsed = tsaug::core::ParseFlags(
+      argc, argv,
+      {{"--worker", &worker},         {"--list", &list},
+       {"--journal", &worker_journal}, {"--journal-dir", &journal_dir},
+       {"--out", &out_path},           {"--trace-json", &trace_json},
+       {"--model", &model_name},       {"--suite", &suite_name},
+       {"--shard", &shard_spec},
+       {"--shards", &shards, 0},
+       {"--attempt", &attempt, 0},
+       {"--max-retries", &options.max_retries, 0},
+       {"--backoff-ms", &options.backoff_initial_ms, 0},
+       {"--backoff-max-ms", &options.backoff_max_ms, 0},
+       {"--hang-timeout-ms", &options.hang_timeout_ms, 0},
+       {"--poll-ms", &options.poll_interval_ms, 0}});
+  if (!parsed.ok()) return Fail(2, parsed.ToString());
 
   ModelKind model = ModelKind::kRocket;
   if (model_name == "inception") {
@@ -178,26 +130,32 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const tsaug::core::StatusOr<tsaug::eval::BenchSettings> settings =
+      tsaug::eval::TryReadBenchSettings();
+  if (!settings.ok()) return Fail(2, settings.status().ToString());
   tsaug::core::StatusOr<tsaug::eval::StudyPlan> planned =
-      tsaug::eval::TryPlanStudy(tsaug::eval::ReadBenchSettings(), model,
-                                suite_name);
+      tsaug::eval::TryPlanStudy(*settings, model, suite_name);
   if (!planned.ok()) return Fail(2, planned.status().ToString());
   tsaug::eval::StudyPlan& plan = *planned;
 
   if (worker) {
-    const std::size_t slash = shard_spec.find('/');
-    if (slash == std::string::npos ||
-        !ParseCount(shard_spec.substr(0, slash), shard_index) ||
-        !ParseCount(shard_spec.substr(slash + 1), worker_shard_count) ||
-        shard_index >= worker_shard_count || worker_journal.empty()) {
-      return Usage();
+    // "i/N"; without a slash both halves read the whole spec, so i == N.
+    const std::string_view spec = shard_spec;
+    const std::size_t slash = spec.find('/');
+    const std::optional<int> shard_index =
+        tsaug::core::ParseInt<int>(spec.substr(0, slash), 0);
+    const std::optional<int> shard_count =
+        tsaug::core::ParseInt<int>(spec.substr(slash + 1), 1);
+    if (!shard_index || !shard_count || *shard_index >= *shard_count ||
+        worker_journal.empty()) {
+      return Fail(2, "--worker needs --shard i/N with i < N and --journal");
     }
     tsaug::core::InstallStopSignalHandlers();
     plan.config.journal_path = worker_journal;
-    plan.config.shard_index = shard_index;
-    plan.config.shard_count = worker_shard_count;
+    plan.config.shard_index = *shard_index;
+    plan.config.shard_count = *shard_count;
     std::string domain = "shard/";
-    domain += std::to_string(shard_index);
+    domain += std::to_string(*shard_index);
     domain += "/attempt";
     domain += std::to_string(attempt);
     const tsaug::core::StatusOr<StudyResult> study =
@@ -210,7 +168,9 @@ int main(int argc, char** argv) {
     return study->interrupted || tsaug::core::GlobalStopRequested() ? 3 : 0;
   }
 
-  if (shards < 0 || out_path.empty()) return Usage();
+  if (shards < 0 || out_path.empty()) {
+    return Fail(2, "--shards N and --out PATH are required (or --list)");
+  }
   if (!trace_json.empty()) tsaug::core::trace::Enable();
   tsaug::core::InstallStopSignalHandlers();
 
@@ -228,7 +188,7 @@ int main(int argc, char** argv) {
 
   // Supervisor mode. Fork happens before any grid work, so no thread pool
   // exists in this process until the post-merge replay below.
-  if (journal_dir.empty()) return Usage();
+  if (journal_dir.empty()) return Fail(2, "--shards N > 0 needs --journal-dir");
   options.worker_command = {argv[0], "--suite", suite_name, "--model",
                             model_name};
   options.journal_dir = journal_dir;

@@ -3,47 +3,43 @@
 // latency/error summary. Exit status: 0 on zero errors, 1 otherwise —
 // the CI serve smoke gates on it.
 //
-// Flags:
-//   --host H          server host            (default 127.0.0.1)
-//   --port N          server port            (required)
-//   --connections N   client connections     (default 8)
-//   --requests N      requests per connection (default 25)
-//   --timeout-ms N    per-request deadline   (default 0 = none)
-//   --seed N          workload base seed     (default 1)
+// Flags ([accepted range], (default)):
+//   --host H          server host                        (127.0.0.1)
+//   --port N          [1, 65535] server port             (required)
+//   --connections N   [1, 128] client connections, a thread each (8)
+//   --requests N      [0, 2^31-1] requests per connection (25)
+//   --timeout-ms N    [0, 2^31-1] per-request deadline, 0 = none (0)
+//   --seed N          [0, 2^64-1] workload base seed     (1)
+// Any unknown, valueless, malformed or out-of-range flag exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "core/parse.h"
 #include "core/status.h"
 #include "serve/loadgen.h"
+#include "serve/server.h"
 
 int main(int argc, char** argv) {
   tsaug::serve::LoadConfig config;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
-    if (flag == "--host") {
-      config.host = value;
-    } else if (flag == "--port") {
-      config.port = std::atoi(value.c_str());
-    } else if (flag == "--connections") {
-      config.connections = std::atoi(value.c_str());
-    } else if (flag == "--requests") {
-      config.requests_per_connection = std::atoi(value.c_str());
-    } else if (flag == "--timeout-ms") {
-      config.timeout_millis =
-          static_cast<std::uint32_t>(std::atoi(value.c_str()));
-    } else if (flag == "--seed") {
-      config.base_seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
-    } else {
-      std::fprintf(stderr, "serve_loadgen: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
+  int timeout_ms = 0;
+  const tsaug::core::Status parsed = tsaug::core::ParseFlags(
+      argc, argv,
+      {{"--host", &config.host},
+       {"--port", &config.port, 1, 65535},
+       {"--connections", &config.connections, 1,
+        tsaug::serve::kDefaultMaxConnections},
+       {"--requests", &config.requests_per_connection, 0},
+       {"--timeout-ms", &timeout_ms, 0},
+       {"--seed", &config.base_seed}});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "serve_loadgen: %s\n", parsed.ToString().c_str());
+    return 2;
   }
-  if (config.port <= 0) {
+  if (config.port == 0) {
     std::fprintf(stderr, "serve_loadgen: --port is required\n");
     return 2;
   }
+  config.timeout_millis = static_cast<std::uint32_t>(timeout_ms);
 
   tsaug::core::StatusOr<tsaug::serve::LoadReport> ran =
       tsaug::serve::RunLoad(config);

@@ -3,20 +3,21 @@
 // over the length-prefixed TCP protocol until SIGTERM/SIGINT, then drains
 // (answers everything admitted) and exports trace counters.
 //
-// Flags:
-//   --port N            listen port (default 0 = ephemeral)
+// Flags ([accepted range], (default)):
+//   --port N            [0, 65535] listen port, 0 = ephemeral    (0)
 //   --port-file PATH    write the bound port as text (child-process handshake)
 //   --trace-json PATH   enable tracing; write the JSON report after drain
-//   --max-batch N       batching policy: cut at N requests      (default 16)
-//   --linger-ms X       batching policy: max linger in ms       (default 2)
-//   --max-queue-depth N admission control bound                 (default 1024)
-//   --max-connections N concurrent connection bound             (default 128)
-//   --idle-timeout-ms N close connections idle this long        (default 0 = off)
+//   --max-batch N       [1, 2^31-1] cut a batch at N requests    (16)
+//   --linger-ms X       [0, 60000] max batch linger in ms        (2)
+//   --max-queue-depth N [1, 2^31-1] admission control bound      (1024)
+//   --max-connections N [1, 2^31-1] concurrent connection bound  (128)
+//   --idle-timeout-ms N [0, 2^31-1] close idle connections, 0 = off (0)
+// Any unknown, valueless, malformed or out-of-range flag exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/cancel.h"
+#include "core/parse.h"
 #include "core/status.h"
 #include "core/trace.h"
 #include "serve/server.h"
@@ -40,31 +41,23 @@ int main(int argc, char** argv) {
   config.service = tsaug::serve::DefaultServiceConfig();
   std::string port_file;
   std::string trace_json;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
-    if (flag == "--port") {
-      config.port = std::atoi(value.c_str());
-    } else if (flag == "--port-file") {
-      port_file = value;
-    } else if (flag == "--trace-json") {
-      trace_json = value;
-    } else if (flag == "--max-batch") {
-      config.batching.max_batch = std::atoi(value.c_str());
-    } else if (flag == "--linger-ms") {
-      config.batching.max_linger_nanos =
-          static_cast<std::int64_t>(std::atof(value.c_str()) * 1e6);
-    } else if (flag == "--max-queue-depth") {
-      config.batching.max_queue_depth = std::atoi(value.c_str());
-    } else if (flag == "--max-connections") {
-      config.max_connections = std::atoi(value.c_str());
-    } else if (flag == "--idle-timeout-ms") {
-      config.idle_timeout_ms = std::atoi(value.c_str());
-    } else {
-      std::fprintf(stderr, "serve_main: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
+  double linger_ms =
+      static_cast<double>(config.batching.max_linger_nanos) / 1e6;
+  const tsaug::core::Status parsed = tsaug::core::ParseFlags(
+      argc, argv,
+      {{"--port", &config.port, 0, 65535},
+       {"--port-file", &port_file},
+       {"--trace-json", &trace_json},
+       {"--max-batch", &config.batching.max_batch, 1},
+       {"--linger-ms", &linger_ms, 0, 60000},
+       {"--max-queue-depth", &config.batching.max_queue_depth, 1},
+       {"--max-connections", &config.max_connections, 1},
+       {"--idle-timeout-ms", &config.idle_timeout_ms, 0}});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "serve_main: %s\n", parsed.ToString().c_str());
+    return 2;
   }
+  config.batching.max_linger_nanos = static_cast<std::int64_t>(linger_ms * 1e6);
   if (!trace_json.empty()) tsaug::core::trace::Enable();
 
   tsaug::core::InstallStopSignalHandlers();
