@@ -80,23 +80,16 @@ bool ParseRule(const std::string& entry, Rule& rule) {
 
 std::vector<Rule> ParseSpec(const std::string& spec) {
   std::vector<Rule> rules;
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t end = spec.find(',', start);
-    if (end == std::string::npos) end = spec.size();
-    const std::string entry = spec.substr(start, end - start);
-    if (!entry.empty()) {
-      Rule rule;
-      if (ParseRule(entry, rule)) {
-        rules.push_back(std::move(rule));
-      } else {
-        std::fprintf(stderr,
-                     "TSAUG_FAULTS: ignoring malformed rule \"%s\" "
-                     "(expected point[@domain]:N[+|!])\n",
-                     entry.c_str());
-      }
+  for (const std::string& entry : SplitList(spec)) {
+    Rule rule;
+    if (ParseRule(entry, rule)) {
+      rules.push_back(std::move(rule));
+    } else {
+      std::fprintf(stderr,
+                   "TSAUG_FAULTS: ignoring malformed rule \"%s\" "
+                   "(expected point[@domain]:N[+|!])\n",
+                   entry.c_str());
     }
-    start = end + 1;
   }
   return rules;
 }

@@ -58,6 +58,16 @@ std::optional<double> ParseDouble(std::string_view text) {
   return value;
 }
 
+std::vector<std::string> SplitList(std::string_view text) {
+  std::vector<std::string> out;
+  while (!text.empty()) {
+    const std::size_t comma = std::min(text.find(','), text.size());
+    if (comma > 0) out.emplace_back(text.substr(0, comma));
+    text.remove_prefix(std::min(comma + 1, text.size()));
+  }
+  return out;
+}
+
 Status ParseFlagValue(const Flag& flag, std::string_view text) {
   return std::visit([&](auto* out) { return Store(flag, text, out); },
                     flag.target);

@@ -35,6 +35,9 @@ std::optional<Int> ParseInt(std::string_view text,
 /// Fixed or scientific notation, or "nan"/"inf" in any case.
 std::optional<double> ParseDouble(std::string_view text);
 
+/// The non-empty entries of a comma-separated list.
+std::vector<std::string> SplitList(std::string_view text);
+
 /// A `--name VALUE` flag or a TSAUG_* knob, and the variable that takes
 /// its value; a bool variable makes a switch without a value. A number
 /// must lie in [min, max] (never NaN).

@@ -177,20 +177,6 @@ void PrintImprovementCounts(const StudyResult& rocket,
   PrintTable(table, out);
 }
 
-namespace {
-
-std::vector<std::string> SplitNames(std::string_view names) {
-  std::vector<std::string> out;
-  while (!names.empty()) {
-    const std::size_t comma = std::min(names.find(','), names.size());
-    if (comma > 0) out.emplace_back(names.substr(0, comma));
-    names.remove_prefix(std::min(comma + 1, names.size()));
-  }
-  return out;
-}
-
-}  // namespace
-
 core::StatusOr<BenchSettings> TryReadBenchSettings(
     const std::function<const char*(const char*)>& lookup) {
   const auto get = [&lookup](const char* name) -> std::string_view {
@@ -232,8 +218,8 @@ core::StatusOr<BenchSettings> TryReadBenchSettings(
       TSAUG_RETURN_IF_ERROR(core::ParseFlagValue(knob, get(knob.name)));
     }
   }
-  settings.datasets = SplitNames(get("TSAUG_DATASETS"));
-  settings.techniques = SplitNames(get("TSAUG_TECHNIQUES"));
+  settings.datasets = core::SplitList(get("TSAUG_DATASETS"));
+  settings.techniques = core::SplitList(get("TSAUG_TECHNIQUES"));
   return settings;
 }
 

@@ -51,6 +51,12 @@ TEST(ParseDouble, AcceptsDecimalScientificNanAndInf) {
   }
 }
 
+TEST(SplitList, KeepsNonEmptyEntriesInOrder) {
+  EXPECT_EQ(SplitList("a,,b c,"), (std::vector<std::string>{"a", "b c"}));
+  EXPECT_TRUE(SplitList("").empty());
+  EXPECT_TRUE(SplitList(",,").empty());
+}
+
 /// A random string over the characters that matter to an integer parser.
 std::string RandomNumberText(Rng& rng) {
   static const std::string kOthers = "-+ x.e";
