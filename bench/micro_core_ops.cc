@@ -1,10 +1,11 @@
-// Microbenchmarks of the numeric substrates: FFT, DTW, ridge solvers,
-// conv1d, the GRU stack and the ROCKET transform. google-benchmark based.
+// Microbenchmarks of the numeric substrates: FFT, DTW, ridge solvers, the
+// symmetric eigensolver, conv1d, the GRU stack and the ROCKET transform. google-benchmark based.
 #include <benchmark/benchmark.h>
 
 #include "classify/rocket.h"
 #include "core/rng.h"
 #include "fft/fft.h"
+#include "linalg/decomposition.h"
 #include "linalg/distance.h"
 #include "linalg/ridge.h"
 #include "nn/layers.h"
@@ -68,6 +69,54 @@ void BM_RidgeFit(benchmark::State& state) {
 }
 // Primal regime (d <= n) vs the ROCKET-style dual regime (d >> n).
 BENCHMARK(BM_RidgeFit)->Args({128, 32})->Args({64, 2000});
+
+// Column-centred n x n Gram of n rows with `d` N(0,1) features: the matrix
+// RidgeClassifierCV eigendecomposes for LOOCV.
+tsaug::linalg::Matrix CentredGram(int n, int d, Rng& rng) {
+  tsaug::linalg::Matrix x(n, d);
+  for (double& v : x.data()) v = rng.Normal();
+  x.CenterColumns(x.ColMeans());
+  return tsaug::linalg::MatMulTransposeB(x, x);
+}
+
+// n = 208 is the largest train split of the tiny grid, 640 a mid size and
+// 2459 the LSST train size of the paper grid.
+void BM_SymmetricEigen(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(8);
+  const tsaug::linalg::Matrix gram = CentredGram(n, 1000, rng);
+  std::vector<double> eigenvalues;
+  tsaug::linalg::Matrix eigenvectors;
+  for (auto _ : state) {
+    tsaug::linalg::SymmetricEigen(gram, &eigenvalues, &eigenvectors);
+    benchmark::DoNotOptimize(eigenvalues.data());
+  }
+}
+BENCHMARK(BM_SymmetricEigen)
+    ->Arg(208)
+    ->Arg(640)
+    ->Arg(2459)
+    ->Unit(benchmark::kMillisecond);
+
+// A whole LOOCV ridge fit in the ROCKET regime at paper feature count
+// (10,000 kernels give 20,000 features), 4 classes.
+void BM_RidgeClassifierCVFit(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int d = static_cast<int>(state.range(1));
+  Rng rng(9);
+  tsaug::linalg::Matrix x(n, d);
+  for (double& v : x.data()) v = rng.Normal();
+  std::vector<int> labels(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) labels[static_cast<size_t>(i)] = i % 4;
+  for (auto _ : state) {
+    tsaug::linalg::RidgeClassifierCV clf;
+    TSAUG_CHECK_OK(clf.TryFit(x, labels, 4));
+    benchmark::DoNotOptimize(clf.best_alpha());
+  }
+}
+BENCHMARK(BM_RidgeClassifierCVFit)
+    ->Args({640, 20000})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Conv1dForward(benchmark::State& state) {
   const int kernel = static_cast<int>(state.range(0));

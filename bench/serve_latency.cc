@@ -9,11 +9,15 @@
 // so unlike BENCH_kernels.json there is no committed ns baseline.
 //
 // Flags: --json PATH (default BENCH_serve.json), --connections N in
-// [1, 128] (32), --requests N per connection (25), --max-batch N (16),
+// [1, 128] (32), --requests N per connection in [0, 2^20] (25; RunLoad
+// caps connections x requests at 2^20), --max-batch N (16),
 // --linger-ms X in [0, 60000] (2). Every argument is a flag followed by
 // its value: anything else exits 2 before anything runs.
 #include <cstdio>
+#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/parse.h"
 #include "core/status.h"
@@ -25,21 +29,28 @@ namespace {
 
 using tsaug::core::trace::CounterValue;
 
-std::string OccupancyHistogramJson(int max_batch) {
+// Only the batch sizes that were cut are visited, so the cost is bounded
+// by the recorded counters, not by --max-batch.
+std::string OccupancyHistogramJson() {
+  const std::string prefix = "serve.batch_size.";
+  std::map<int, std::int64_t> cuts;  // batch size -> cuts, numeric order
+  for (const auto& [name, count] : tsaug::core::trace::Counters()) {
+    if (name.compare(0, prefix.size(), prefix) != 0 || count == 0) continue;
+    const std::optional<int> size = tsaug::core::ParseInt<int>(
+        std::string_view(name).substr(prefix.size()));
+    if (size) cuts[*size] = count;
+  }
   std::string json = "{";
   bool first = true;
-  for (int n = 1; n <= max_batch; ++n) {
-    const std::int64_t cuts =
-        CounterValue("serve.batch_size." + std::to_string(n));
-    if (cuts == 0) continue;
+  for (const auto& [size, count] : cuts) {
     if (!first) json += ", ";
     first = false;
     // Sequential appends: GCC 12 -O2 fires a bogus -Wrestrict on the
     // char*-plus-rvalue-string overload, fatal under the strict CI leg.
     json += "\"";
-    json += std::to_string(n);
+    json += std::to_string(size);
     json += "\": ";
-    json += std::to_string(cuts);
+    json += std::to_string(count);
   }
   return json + "}";
 }
@@ -60,7 +71,8 @@ int main(int argc, char** argv) {
       {{"--json", &json_path},
        {"--connections", &load_config.connections, 1,
         tsaug::serve::kDefaultMaxConnections},
-       {"--requests", &load_config.requests_per_connection, 0},
+       {"--requests", &load_config.requests_per_connection, 0,
+        static_cast<int>(tsaug::serve::kMaxLoadRequests)},
        {"--max-batch", &server_config.batching.max_batch, 1},
        {"--linger-ms", &linger_ms, 0, 60000}});
   if (!parsed.ok()) {
@@ -129,7 +141,7 @@ int main(int argc, char** argv) {
   std::snprintf(occ, sizeof(occ), "  \"mean_occupancy\": %.3f,\n", occupancy);
   json += occ;
   json += "  \"occupancy_histogram\": " +
-          OccupancyHistogramJson(server_config.batching.max_batch) + "\n";
+          OccupancyHistogramJson() + "\n";
   json += "}\n";
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");

@@ -6,6 +6,7 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "core/parse.h"
 
@@ -69,8 +70,11 @@ bool ReadDatasetCsv(std::istream& in, Dataset* dataset) {
   std::string line;
   if (!std::getline(in, line)) return false;  // header
 
-  // instance -> (label, channel -> samples)
-  std::map<int, std::pair<int, std::map<int, std::vector<double>>>> rows;
+  struct Row {
+    int instance, label, channel, t;
+    double value;
+  };
+  std::vector<Row> parsed;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::istringstream fields(line);
@@ -85,13 +89,25 @@ bool ReadDatasetCsv(std::istream& in, Dataset* dataset) {
     if (!std::getline(fields, field, ',')) return false;
     const std::optional<double> sample = ParseDouble(field);
     if (!sample) return false;
-    auto& [label, channels] = rows[values[0]];
-    label = values[1];
-    std::vector<double>& samples = channels[values[2]];
-    if (static_cast<int>(samples.size()) <= values[3]) {
-      samples.resize(static_cast<size_t>(values[3]) + 1, std::nan(""));
+    parsed.push_back({values[0], values[1], values[2], values[3], *sample});
+  }
+  // WriteDatasetCsv writes one row per sample, NaN included, so no channel
+  // is longer than the file has data rows. A larger t is malformed, and
+  // is rejected before it can size an allocation.
+  for (const Row& row : parsed) {
+    if (static_cast<size_t>(row.t) >= parsed.size()) return false;
+  }
+
+  // instance -> (label, channel -> samples)
+  std::map<int, std::pair<int, std::map<int, std::vector<double>>>> rows;
+  for (const Row& row : parsed) {
+    auto& [label, channels] = rows[row.instance];
+    label = row.label;
+    std::vector<double>& samples = channels[row.channel];
+    if (static_cast<int>(samples.size()) <= row.t) {
+      samples.resize(static_cast<size_t>(row.t) + 1, std::nan(""));
     }
-    samples[static_cast<size_t>(values[3])] = *sample;
+    samples[static_cast<size_t>(row.t)] = row.value;
   }
   for (auto& [instance, entry] : rows) {
     (void)instance;

@@ -26,11 +26,15 @@ Matrix CholeskySolve(Matrix a, const Matrix& b);
                                                 const Matrix& b,
                                                 double initial_jitter = 1e-10);
 
-/// Eigendecomposition of a symmetric matrix by the cyclic Jacobi method.
-/// On return `eigenvalues` is ascending and column j of `eigenvectors` is
-/// the unit eigenvector of eigenvalues[j], i.e. A = V diag(w) V^T.
+/// Eigendecomposition of a symmetric matrix by Householder tridiagonalisation
+/// and implicit-shift QL (EISPACK tred2 + tql2), O(n^3). On return
+/// `eigenvalues` is ascending and column j of `eigenvectors` is the unit
+/// eigenvector of eigenvalues[j], i.e. A = V diag(w) V^T. A non-finite
+/// input, or QL iterations exhausted (30 n in total), yields all-NaN
+/// eigenvalues and vectors. Serial and deterministic: the bits do not
+/// depend on the thread count or the kernel backend.
 void SymmetricEigen(const Matrix& a, std::vector<double>* eigenvalues,
-                    Matrix* eigenvectors, int max_sweeps = 64);
+                    Matrix* eigenvectors);
 
 /// Sample covariance of the rows of `x` (denominator n, matching Eq. (4)).
 Matrix SampleCovariance(const Matrix& x);

@@ -10,29 +10,48 @@
 
 namespace tsaug::linalg {
 
+struct RidgeRegression::Centred {
+  std::vector<double> x_means;
+  std::vector<double> y_means;
+  Matrix xc;
+  Matrix yc;
+  bool dual = false;  // samples < features: solve in the n x n dual space
+  Matrix gram;        // Xc Xc^T (dual) or Xc^T Xc (primal), no alpha yet
+  Matrix rhs;         // primal only: Xc^T Yc
+
+  Centred(const Matrix& x, const Matrix& y)
+      : x_means(x.ColMeans()), y_means(y.ColMeans()), xc(x), yc(y),
+        dual(x.cols() > x.rows()) {
+    TSAUG_CHECK(x.rows() == y.rows());
+    TSAUG_CHECK(x.rows() > 0);
+    xc.CenterColumns(x_means);
+    yc.CenterColumns(y_means);
+    if (dual) {
+      gram = MatMulTransposeB(xc, xc);
+    } else {
+      gram = MatMulTransposeA(xc, xc);
+      rhs = MatMulTransposeA(xc, yc);
+    }
+  }
+};
+
 core::Status RidgeRegression::TryFit(const Matrix& x, const Matrix& y,
                                      double alpha) {
-  TSAUG_CHECK(x.rows() == y.rows());
-  TSAUG_CHECK(x.rows() > 0);
-  TSAUG_CHECK(alpha >= 0.0);
+  return TryFitCentred(Centred(x, y), alpha);
+}
 
+core::Status RidgeRegression::TryFitCentred(const Centred& data,
+                                            double alpha) {
+  TSAUG_CHECK(alpha >= 0.0);
   if (core::fault::ShouldFail("ridge.solve")) {
     return core::fault::InjectedAt("ridge.solve");
   }
 
-  const std::vector<double> x_means = x.ColMeans();
-  const std::vector<double> y_means = y.ColMeans();
-  Matrix xc = x;
-  xc.CenterColumns(x_means);
-  Matrix yc = y;
-  yc.CenterColumns(y_means);
-
-  if (x.cols() <= x.rows()) {
+  Matrix gram = data.gram;
+  AddDiagonal(gram, alpha);
+  if (!data.dual) {
     // Primal: (Xc^T Xc + aI) W = Xc^T Yc.
-    Matrix gram = MatMulTransposeA(xc, xc);
-    AddDiagonal(gram, alpha);
-    core::StatusOr<Matrix> solved =
-        TryCholeskySolveJittered(gram, MatMulTransposeA(xc, yc));
+    core::StatusOr<Matrix> solved = TryCholeskySolveJittered(gram, data.rhs);
     if (!solved.ok()) {
       core::Status status = solved.status();
       return status.AddContext("ridge.solve(primal)");
@@ -40,20 +59,19 @@ core::Status RidgeRegression::TryFit(const Matrix& x, const Matrix& y,
     weights_ = std::move(solved).value();
   } else {
     // Dual: (Xc Xc^T + aI) C = Yc, W = Xc^T C.
-    Matrix gram = MatMulTransposeB(xc, xc);
-    AddDiagonal(gram, alpha);
-    core::StatusOr<Matrix> solved = TryCholeskySolveJittered(gram, yc);
+    core::StatusOr<Matrix> solved = TryCholeskySolveJittered(gram, data.yc);
     if (!solved.ok()) {
       core::Status status = solved.status();
       return status.AddContext("ridge.solve(dual)");
     }
-    weights_ = MatMulTransposeA(xc, std::move(solved).value());
+    weights_ = MatMulTransposeA(data.xc, std::move(solved).value());
   }
 
-  intercept_.assign(static_cast<size_t>(y.cols()), 0.0);
-  for (int k = 0; k < y.cols(); ++k) {
-    double shift = y_means[static_cast<size_t>(k)];
-    for (int d = 0; d < x.cols(); ++d) shift -= x_means[static_cast<size_t>(d)] * weights_(d, k);
+  const int num_features = data.xc.cols();
+  intercept_.assign(static_cast<size_t>(data.yc.cols()), 0.0);
+  for (int k = 0; k < data.yc.cols(); ++k) {
+    double shift = data.y_means[static_cast<size_t>(k)];
+    for (int d = 0; d < num_features; ++d) shift -= data.x_means[static_cast<size_t>(d)] * weights_(d, k);
     intercept_[static_cast<size_t>(k)] = shift;
   }
   return core::OkStatus();
@@ -158,7 +176,7 @@ core::Status RidgeClassifierCV::TryFit(const Matrix& x,
   num_classes_ = num_classes;
   solve_retries_ = 0;
   loocv_fallback_ = false;
-  const Matrix y = EncodeLabels(labels, num_classes);
+  const RidgeRegression::Centred data(x, EncodeLabels(labels, num_classes));
 
   best_alpha_ = alphas_[alphas_.size() / 2];
   if (x.rows() >= 3 && alphas_.size() > 1) {
@@ -168,24 +186,19 @@ core::Status RidgeClassifierCV::TryFit(const Matrix& x,
     // default mid-grid alpha rather than failing the fit.
     bool loocv_usable = !core::fault::ShouldFail("ridge.loocv");
     if (loocv_usable) {
-      const std::vector<double> x_means = x.ColMeans();
-      const std::vector<double> y_means = y.ColMeans();
-      Matrix xc = x;
-      xc.CenterColumns(x_means);
-      Matrix yc = y;
-      yc.CenterColumns(y_means);
-
-      Matrix gram = MatMulTransposeB(xc, xc);
       std::vector<double> eigenvalues;
       Matrix q;
-      SymmetricEigen(gram, &eigenvalues, &q);
+      // LOOCV needs the n x n Gram, which the dual solve shares.
+      const Matrix primal_kernel =
+          data.dual ? Matrix() : MatMulTransposeB(data.xc, data.xc);
+      SymmetricEigen(data.dual ? data.gram : primal_kernel, &eigenvalues, &q);
       // Clamp tiny negative eigenvalues from roundoff.
       for (double& v : eigenvalues) v = std::max(v, 0.0);
       for (double v : eigenvalues) {
         if (!std::isfinite(v)) loocv_usable = false;
       }
       if (loocv_usable) {
-        const Matrix qty = MatMulTransposeA(q, yc);
+        const Matrix qty = MatMulTransposeA(q, data.yc);
         const int intercept_dim = InterceptDimension(q);
 
         double best_error = std::numeric_limits<double>::infinity();
@@ -213,7 +226,7 @@ core::Status RidgeClassifierCV::TryFit(const Matrix& x,
   double alpha = best_alpha_;
   core::Status status;
   for (int attempt = 0; attempt <= kMaxAlphaEscalations; ++attempt) {
-    status = model_.TryFit(x, y, alpha);
+    status = model_.TryFitCentred(data, alpha);
     if (status.ok()) {
       best_alpha_ = alpha;
       return status;

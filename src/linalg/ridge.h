@@ -30,6 +30,12 @@ class RidgeRegression {
   bool fitted() const { return !weights_.empty(); }
 
  private:
+  friend class RidgeClassifierCV;
+  /// Column means, centred data and the Gram matrix of one problem; built
+  /// once per RidgeClassifierCV fit and shared by LOOCV and every solve.
+  struct Centred;
+  [[nodiscard]] core::Status TryFitCentred(const Centred& data, double alpha);
+
   Matrix weights_;
   std::vector<double> intercept_;
 };

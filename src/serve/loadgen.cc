@@ -9,12 +9,14 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <utility>
 #include <variant>
 
 #include "core/rng.h"
 #include "core/trace.h"
+#include "serve/server.h"
 
 namespace tsaug::serve {
 namespace {
@@ -170,9 +172,21 @@ std::int64_t LoadReport::PercentileNanos(double q) const {
 core::StatusOr<LoadReport> RunLoad(const LoadConfig& config) {
   const int connections = std::max(1, config.connections);
   const int per_connection = std::max(0, config.requests_per_connection);
+  if (connections > kDefaultMaxConnections) {
+    return core::InvalidArgumentError(
+        "loadgen: " + std::to_string(connections) +
+        " connections exceed the cap of " +
+        std::to_string(kDefaultMaxConnections));
+  }
   const std::size_t total =
       static_cast<std::size_t>(connections) *
       static_cast<std::size_t>(per_connection);
+  if (total > static_cast<std::size_t>(kMaxLoadRequests)) {
+    return core::InvalidArgumentError(
+        "loadgen: " + std::to_string(total) +
+        " requests in total exceed the cap of " +
+        std::to_string(kMaxLoadRequests));
+  }
 
   struct Slice {
     std::int64_t requests = 0;

@@ -76,9 +76,15 @@ struct LoadReport {
   std::int64_t PercentileNanos(double q) const;
 };
 
+/// Cap on connections x requests_per_connection for one RunLoad: the
+/// report preallocates one response frame per request.
+inline constexpr std::int64_t kMaxLoadRequests = std::int64_t{1} << 20;
+
 /// Runs the load shape: `connections` client threads, each issuing its
-/// stripe of requests back-to-back on one connection. Returns kUnavailable
-/// when no connection could be established at all.
+/// stripe of requests back-to-back on one connection. Returns
+/// kInvalidArgument, before any thread starts, for more connections than
+/// kDefaultMaxConnections or more requests in total than kMaxLoadRequests;
+/// kUnavailable when no connection could be established at all.
 [[nodiscard]] core::StatusOr<LoadReport> RunLoad(const LoadConfig& config);
 
 }  // namespace tsaug::serve

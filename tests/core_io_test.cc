@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "allocation_cap.h"
+
 namespace tsaug::core {
 namespace {
 
@@ -64,6 +66,29 @@ TEST(DatasetCsv, RejectsFieldsOutsideInt) {
     Dataset loaded;
     EXPECT_FALSE(ReadDatasetCsv(buffer, &loaded)) << row;
   }
+}
+
+TEST(DatasetCsv, RejectsTimeIndexBeyondRowCount) {
+  // One row claiming t = 2^31 - 1 would size a 16 GiB channel. The reader
+  // must reject it before allocating; allocation_cap.h turns any attempt
+  // into a thrown bad_alloc, so the test fails instead of the host.
+  std::istringstream hostile(
+      "instance,label,channel,t,value\n0,0,0,2147483647,1\n");
+  Dataset loaded;
+  EXPECT_FALSE(ReadDatasetCsv(hostile, &loaded));
+  EXPECT_EQ(loaded.size(), 0);
+
+  // Every sample has its own row, so t must be below the data row count.
+  std::istringstream gap("instance,label,channel,t,value\n"
+                         "0,0,0,0,1\n0,0,0,2,3\n");
+  EXPECT_FALSE(ReadDatasetCsv(gap, &loaded));
+  std::istringstream shuffled("instance,label,channel,t,value\n"
+                              "0,0,0,2,3\n0,0,0,0,1\n0,0,0,1,NaN\n");
+  ASSERT_TRUE(ReadDatasetCsv(shuffled, &loaded));
+  ASSERT_EQ(loaded.size(), 1);
+  EXPECT_EQ(loaded.series(0).length(), 3);
+  EXPECT_EQ(loaded.series(0).at(0, 2), 3.0);
+  EXPECT_TRUE(std::isnan(loaded.series(0).at(0, 1)));
 }
 
 TEST(DatasetCsv, FileRoundTrip) {

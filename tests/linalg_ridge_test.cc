@@ -1,10 +1,18 @@
 #include "linalg/ridge.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "classify/classifier.h"
+#include "classify/rocket.h"
+#include "core/faultpoint.h"
 #include "core/rng.h"
+#include "core/trace.h"
+#include "data/synthetic.h"
 
 namespace tsaug::linalg {
 namespace {
@@ -158,6 +166,133 @@ TEST(RidgeClassifierCV, WideFeatureMatrix) {
   RidgeClassifierCV clf;
   TSAUG_CHECK_OK(clf.TryFit(x, labels, 2));
   EXPECT_GT(clf.Score(x, labels), 0.9);
+}
+
+// ROCKET features of a seeded synthetic problem: n training rows spread
+// over `num_classes`, optionally with the first `duplicates` rows added a
+// second time (identical Gram rows widen the null space beyond the
+// intercept direction).
+struct RocketFeatures {
+  Matrix x;
+  std::vector<int> labels;
+  int num_classes = 0;
+};
+
+RocketFeatures MakeRocketFeatures(int n, int num_classes, int num_kernels,
+                                  int duplicates, std::uint64_t seed) {
+  data::SyntheticSpec spec;
+  spec.num_classes = num_classes;
+  spec.num_channels = 2;
+  spec.length = 32;
+  spec.seed = seed;
+  // Vary the difficulty so the selected alphas spread over the grid.
+  spec.noise_level = 0.02 + 0.4 * static_cast<double>(seed % 5);
+  spec.class_separation = 0.2 + 0.8 * static_cast<double>(seed % 4);
+  spec.instance_variability = 0.02 + 0.1 * static_cast<double>(seed % 3);
+  const int unique = n - duplicates;
+  for (int c = 0; c < num_classes; ++c) {
+    spec.train_counts.push_back(unique / num_classes +
+                                (c < unique % num_classes ? 1 : 0));
+    spec.test_counts.push_back(1);
+  }
+  core::Dataset train = data::MakeSynthetic(spec).train;
+  for (int i = 0; i < duplicates; ++i) train.Add(train.series(i), train.label(i));
+  classify::RocketTransform transform(num_kernels, seed);
+  transform.Fit(train.num_channels(), train.max_length());
+  RocketFeatures out;
+  out.x = transform.Transform(
+      classify::DatasetToTensor(train, train.max_length(), true));
+  out.labels = train.labels();
+  out.num_classes = train.num_classes();
+  return out;
+}
+
+int AlphaIndex(const RidgeClassifierCV& clf) {
+  for (int i = 0; i < 10; ++i) {
+    if (clf.best_alpha() == std::pow(10.0, -3.0 + 6.0 * i / 9.0)) return i;
+  }
+  return -1;
+}
+
+// The default 10-point grid's selected index on ROCKET-feature fixtures in
+// the regime the paper grid runs (more features than rows). The indices
+// were recorded with the cyclic Jacobi eigensolver that the tridiagonal QL
+// one replaced: a solver change may move the LOO errors in their last
+// bits, but must not flip any argmin.
+TEST(RidgeClassifierCV, AlphaSelectionIsPinned) {
+  struct Fixture {
+    int n;
+    int num_classes;
+    int num_kernels;
+    int duplicates;
+    std::uint64_t seed;
+  };
+  const std::vector<Fixture> fixtures = {
+      {28, 2, 100, 0, 1},    {40, 3, 100, 0, 2},    {56, 4, 150, 0, 3},
+      {64, 5, 150, 0, 4},    {80, 6, 200, 0, 5},    {96, 2, 200, 0, 6},
+      {112, 3, 200, 0, 7},   {128, 4, 250, 0, 8},   {140, 5, 250, 0, 9},
+      {160, 6, 250, 0, 10},  {176, 2, 300, 0, 11},  {192, 3, 300, 0, 12},
+      {208, 4, 300, 0, 13},  {224, 5, 300, 0, 14},  {240, 6, 300, 0, 15},
+      {256, 2, 300, 0, 16},  {272, 3, 300, 0, 17},  {288, 4, 300, 0, 18},
+      {320, 6, 300, 0, 19},  {96, 3, 200, 12, 20},
+  };
+  std::vector<int> indices;
+  for (const Fixture& f : fixtures) {
+    const RocketFeatures data = MakeRocketFeatures(
+        f.n, f.num_classes, f.num_kernels, f.duplicates, f.seed);
+    ASSERT_EQ(data.x.rows(), f.n);
+    RidgeClassifierCV clf;
+    TSAUG_CHECK_OK(clf.TryFit(data.x, data.labels, data.num_classes));
+    EXPECT_FALSE(clf.loocv_fell_back());
+    indices.push_back(AlphaIndex(clf));
+  }
+  const std::vector<int> pinned = {0, 8, 7, 9, 6, 7, 8, 9, 8, 6,
+                                   7, 8, 8, 8, 4, 7, 8, 8, 8, 0};
+  EXPECT_EQ(indices, pinned);
+}
+
+TEST(RidgeClassifierCV, NonFiniteFeaturesFallBackToMidGridAlpha) {
+  core::trace::Reset();
+  core::trace::Enable();
+  core::Rng rng(9);
+  std::vector<int> labels;
+  for (int i = 0; i < 12; ++i) labels.push_back(i % 2);
+  Matrix x = GaussianBlobs(labels, 3.0, rng);
+  x(3, 1) = std::numeric_limits<double>::quiet_NaN();
+  // The final solve cannot factorise a non-finite Gram either, so the fit
+  // reports kSingular; alpha selection has already fallen back.
+  RidgeClassifierCV clf;
+  EXPECT_EQ(clf.TryFit(x, labels, 2).code(), core::StatusCode::kSingular);
+  EXPECT_TRUE(clf.loocv_fell_back());
+  EXPECT_DOUBLE_EQ(clf.best_alpha(), std::pow(10.0, -3.0 + 6.0 * 5 / 9.0));
+  EXPECT_EQ(core::trace::CounterValue("ridge.loocv_fallback"), 1);
+
+  x(3, 1) = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(clf.TryFit(x, labels, 2).code(), core::StatusCode::kSingular);
+  EXPECT_TRUE(clf.loocv_fell_back());
+  EXPECT_EQ(core::trace::CounterValue("ridge.loocv_fallback"), 2);
+  core::trace::Disable();
+  core::trace::Reset();
+}
+
+TEST(RidgeClassifierCV, InjectedLoocvFaultFallsBackToMidGridAlpha) {
+  core::trace::Reset();
+  core::trace::Enable();
+  core::Rng rng(10);
+  std::vector<int> labels;
+  for (int i = 0; i < 30; ++i) labels.push_back(i % 3);
+  const Matrix x = GaussianBlobs(labels, 4.0, rng);
+  core::fault::SetSpec("ridge.loocv:1+");
+  RidgeClassifierCV clf;
+  const core::Status status = clf.TryFit(x, labels, 3);
+  core::fault::Clear();
+  TSAUG_CHECK_OK(status);
+  EXPECT_TRUE(clf.loocv_fell_back());
+  EXPECT_DOUBLE_EQ(clf.best_alpha(), std::pow(10.0, -3.0 + 6.0 * 5 / 9.0));
+  EXPECT_EQ(core::trace::CounterValue("ridge.loocv_fallback"), 1);
+  EXPECT_GT(clf.Score(x, labels), 0.9);
+  core::trace::Disable();
+  core::trace::Reset();
 }
 
 }  // namespace

@@ -22,9 +22,12 @@
 
 #include <gtest/gtest.h>
 
+#include "allocation_cap.h"
+
 #include "core/status.h"
 #include "serve/frame.h"
 #include "serve/loadgen.h"
+#include "serve/server.h"
 
 namespace tsaug::serve {
 namespace {
@@ -119,6 +122,30 @@ class ServerProcess {
   std::string port_file_;
   std::string trace_file_;
 };
+
+TEST(ServeLoadgen, RejectsLoadBeyondTheCapsBeforeStarting) {
+  // Checked before the per-request frames are preallocated (a 2^31-request
+  // stripe would ask for terabytes; allocation_cap.h throws instead) and
+  // before any client thread starts. Port 1 has no server: a load that got
+  // through would report kUnavailable, not kInvalidArgument.
+  LoadConfig config;
+  config.port = 1;
+  config.connections = 128;
+  config.requests_per_connection = 2147483647;
+  EXPECT_EQ(RunLoad(config).status().code(),
+            core::StatusCode::kInvalidArgument);
+
+  config.connections = 1;
+  config.requests_per_connection =
+      static_cast<int>(kMaxLoadRequests) + 1;
+  EXPECT_EQ(RunLoad(config).status().code(),
+            core::StatusCode::kInvalidArgument);
+
+  config.connections = kDefaultMaxConnections + 1;
+  config.requests_per_connection = 0;
+  EXPECT_EQ(RunLoad(config).status().code(),
+            core::StatusCode::kInvalidArgument);
+}
 
 TEST(ServeE2eTest, RoundTripsAndTypedPerRequestErrors) {
   if (ServerBinary() == nullptr) GTEST_SKIP() << "TSAUG_SERVE_BIN unset";

@@ -7,7 +7,8 @@
 //   --host H          server host                        (127.0.0.1)
 //   --port N          [1, 65535] server port             (required)
 //   --connections N   [1, 128] client connections, a thread each (8)
-//   --requests N      [0, 2^31-1] requests per connection (25)
+//   --requests N      [0, 2^20] requests per connection  (25); RunLoad
+//                     also caps connections x requests at 2^20
 //   --timeout-ms N    [0, 2^31-1] per-request deadline, 0 = none (0)
 //   --seed N          [0, 2^64-1] workload base seed     (1)
 // Any unknown, valueless, malformed or out-of-range flag exits 2.
@@ -28,7 +29,8 @@ int main(int argc, char** argv) {
        {"--port", &config.port, 1, 65535},
        {"--connections", &config.connections, 1,
         tsaug::serve::kDefaultMaxConnections},
-       {"--requests", &config.requests_per_connection, 0},
+       {"--requests", &config.requests_per_connection, 0,
+        static_cast<int>(tsaug::serve::kMaxLoadRequests)},
        {"--timeout-ms", &timeout_ms, 0},
        {"--seed", &config.base_seed}});
   if (!parsed.ok()) {
